@@ -17,7 +17,7 @@ module Symbol = G.Symbol
 module Instance = G.Instance
 module Production = G.Production
 module Preference = G.Preference
-module R = G.Relation
+module Geometry = Wqi_layout.Geometry
 
 let t_text = Symbol.terminal "text"
 let t_image = Symbol.terminal "image"
@@ -54,8 +54,9 @@ let nav_grammar =
         Production.make ~name:"menu-grow" ~head:menu
           ~components:[ menu; item ]
           ~guard:(fun arr ->
-              R.above ~max_gap:24 arr.(0) arr.(1)
-              && R.left_aligned ~tolerance:8 arr.(0) arr.(1))
+              let a = arr.(0).Instance.box and b = arr.(1).Instance.box in
+              Geometry.above ~max_gap:24 a b
+              && Geometry.left_aligned ~tolerance:8 a b)
           ~build:(fun arr ->
               Instance.S_ops (labels_of arr.(0) @ labels_of arr.(1)))
           ();

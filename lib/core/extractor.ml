@@ -308,7 +308,7 @@ let run_forms ?trace (config : Config.t) html =
 
 let load_grammar path =
   match
-    Wqi_grammar.Loader.load_grammar ~env:Wqi_stdgrammar.Std_decl.env path
+    Wqi_grammar.Loader.load_grammar ~env:Wqi_stdgrammar.Std.env path
   with
   | Error msg -> Error msg
   | Ok (decl, g) ->

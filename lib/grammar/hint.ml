@@ -12,20 +12,6 @@ type rel =
 
 type t = { a : int; b : int; rel : rel }
 
-(* Constructor defaults mirror the corresponding {!Wqi_layout.Geometry}
-   (and hence {!Relation}) defaults exactly: a hint built with the same
-   optional arguments as the guard's relation call is sound by
-   construction. *)
-let left_of ?(max_gap = 60) a b = { a; b; rel = Left_of max_gap }
-let above ?(max_gap = 40) a b = { a; b; rel = Above max_gap }
-let below ?(max_gap = 40) a b = { a; b; rel = Below max_gap }
-let same_row a b = { a; b; rel = Same_row }
-let same_column a b = { a; b; rel = Same_column }
-let left_aligned ?(tolerance = 6) a b = { a; b; rel = Left_aligned tolerance }
-let top_aligned ?(tolerance = 6) a b = { a; b; rel = Top_aligned tolerance }
-let bottom_aligned ?(tolerance = 6) a b =
-  { a; b; rel = Bottom_aligned tolerance }
-
 let holds_rel rel ba bb =
   match rel with
   | Left_of max_gap -> Geometry.left_of ~max_gap ba bb

@@ -11,18 +11,19 @@
     remains the final authority on every candidate combination; the
     engine evaluates it exactly as it would without hints, so parses
     with and without hints are byte-identical (instance ids included).
-    The soundness contract the grammar author must uphold is
-    one-directional: whenever the guard accepts a combination, every
-    hint of the production must hold for it.  The easy way to satisfy
-    the contract is to build each hint with the same relation and the
-    same gap/tolerance arguments the guard itself uses — the constructor
-    defaults below equal the {!Relation}/{!Wqi_layout.Geometry}
-    defaults for exactly that reason.  A hint that is not implied by
-    the guard can change results; a missing hint only costs speed. *)
+    The soundness contract is one-directional: whenever the guard
+    accepts a combination, every hint of the production must hold for
+    it.  A hint that is not implied by the guard can change results; a
+    missing hint only costs speed.  Grammars stated in {!Algebra} meet
+    the contract by construction: {!Algebra.derived_hints} reads the
+    hints off the guard's top-level positive relation conjuncts.  A
+    production built directly with {!Production.make} and explicit
+    hints must keep it by hand. *)
 
-(** A binary spatial relation, mirroring {!Relation}.  The payload is
-    the max-gap bound (for directional adjacency) or the alignment
-    tolerance, in pixels. *)
+(** A binary spatial relation between two slots: the vocabulary of
+    {!Algebra}'s spatial predicates.  The payload is the max-gap bound
+    (for directional adjacency) or the alignment tolerance, in
+    pixels. *)
 type rel =
   | Left_of of int
   | Above of int
@@ -38,17 +39,6 @@ type t = {
   b : int;  (** second endpoint: a component slot index, [<> a] *)
   rel : rel;  (** relation asserted of (instance in [a], instance in [b]) *)
 }
-
-val left_of : ?max_gap:int -> int -> int -> t
-val above : ?max_gap:int -> int -> int -> t
-val below : ?max_gap:int -> int -> int -> t
-val same_row : int -> int -> t
-val same_column : int -> int -> t
-val left_aligned : ?tolerance:int -> int -> int -> t
-val top_aligned : ?tolerance:int -> int -> int -> t
-val bottom_aligned : ?tolerance:int -> int -> int -> t
-(** [left_of ?max_gap a b] etc.: hint over slots [a] and [b].  Defaults
-    equal the corresponding {!Relation} defaults. *)
 
 val holds_rel : rel -> Wqi_layout.Geometry.box -> Wqi_layout.Geometry.box -> bool
 (** [holds_rel rel ba bb]: does the relation hold between the boxes?

@@ -3,20 +3,8 @@ module Geometry = Wqi_layout.Geometry
 let box (i : Instance.t) = i.box
 
 let left ?max_gap a b = Geometry.left_of ?max_gap (box a) (box b)
-let above ?max_gap a b = Geometry.above ?max_gap (box a) (box b)
-let below ?max_gap a b = Geometry.below ?max_gap (box a) (box b)
-
-let same_row a b = Geometry.same_row (box a) (box b)
-let same_column a b = Geometry.same_column (box a) (box b)
-
-let left_aligned ?tolerance a b = Geometry.left_aligned ?tolerance (box a) (box b)
-let top_aligned ?tolerance a b = Geometry.top_aligned ?tolerance (box a) (box b)
-let bottom_aligned ?tolerance a b =
-  Geometry.bottom_aligned ?tolerance (box a) (box b)
 
 let h_gap a b = Geometry.h_gap (box a) (box b)
-let v_gap a b = Geometry.v_gap (box a) (box b)
-let distance a b = Geometry.distance (box a) (box b)
 
 let width i = Geometry.width (box i)
 let height i = Geometry.height (box i)

@@ -1,28 +1,17 @@
-(** Spatial-relation combinators over instances.
+(** Spatial relations and measures over instances: thin wrappers over
+    {!Wqi_layout.Geometry} on each instance's bounding box.
 
-    Thin wrappers over {!Wqi_layout.Geometry} used to write production
-    guards in a declarative style close to the paper's notation, e.g.
-    [P5: TextOp -> Left(Attr, Val) ∧ Below(Op, Val)] becomes
-    [fun [| attr; op; v |] -> Relation.left attr v && Relation.below op v].
-    Adjacency is implied in all relations (Section 4.1), hence the
-    default gap bounds. *)
+    Grammars stated in {!Algebra} express their spatial guards as data
+    ({!Hint.rel}) and never call these; the measures serve the
+    algebra's compiled preferences (closest unit, association score),
+    and {!left} serves guards written directly as OCaml closures over
+    {!Production.make}. *)
 
 val left : ?max_gap:int -> Instance.t -> Instance.t -> bool
-(** [left a b]: [a] immediately left of [b], same visual row. *)
-
-val above : ?max_gap:int -> Instance.t -> Instance.t -> bool
-val below : ?max_gap:int -> Instance.t -> Instance.t -> bool
-
-val same_row : Instance.t -> Instance.t -> bool
-val same_column : Instance.t -> Instance.t -> bool
-
-val left_aligned : ?tolerance:int -> Instance.t -> Instance.t -> bool
-val top_aligned : ?tolerance:int -> Instance.t -> Instance.t -> bool
-val bottom_aligned : ?tolerance:int -> Instance.t -> Instance.t -> bool
+(** [left a b]: [a] immediately left of [b], same visual row.
+    Adjacency is implied (Section 4.1), hence the default gap bound. *)
 
 val h_gap : Instance.t -> Instance.t -> int
-val v_gap : Instance.t -> Instance.t -> int
-val distance : Instance.t -> Instance.t -> float
 
 val width : Instance.t -> int
 val height : Instance.t -> int

@@ -104,8 +104,6 @@ let date_component options =
     else if all is_hour_or_minute then `Time
     else `None
 
-let is_dateish_options options = date_component options <> `None
-
 let plausible_date_combo option_lists =
   let components = List.map date_component option_lists in
   match components with

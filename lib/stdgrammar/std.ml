@@ -1,500 +1,312 @@
-module G = Wqi_grammar
-module Symbol = G.Symbol
-module Instance = G.Instance
-module Production = G.Production
-module Preference = G.Preference
-module Bitset = G.Bitset
-module R = G.Relation
-module H = G.Hint
-module Condition = Wqi_model.Condition
+module A = Wqi_grammar.Algebra
+module H = Wqi_grammar.Hint
+
+let env =
+  { A.text_classes =
+      [ ("plausible-attribute", Lexicon.plausible_attribute);
+        ("bound-marker", Lexicon.is_bound_marker);
+        ("unit-word", Lexicon.is_unit_word);
+        ("operator-phrase", Lexicon.is_operator_phrase) ];
+    options_classes = [ ("all-operator-options", Lexicon.all_operator_options) ];
+    splitters =
+      [ ("bound-suffix", Lexicon.split_bound_suffix);
+        ("unit-prefix", Lexicon.split_unit_prefix) ];
+    combos = [ ("date-combo", Lexicon.plausible_date_combo) ] }
 
 (* ------------------------------------------------------------------ *)
-(* Symbols                                                             *)
+(* Shorthands                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let t_text = Symbol.terminal "text"
-let t_textbox = Symbol.terminal "textbox"
-let t_selection = Symbol.terminal "selection"
-let t_radio = Symbol.terminal "radio"
-let t_checkbox = Symbol.terminal "checkbox"
-let t_button = Symbol.terminal "button"
-let t_image = Symbol.terminal "image"
+let p name head components ?(guard = A.P_true) ?(build = A.B_none) () =
+  { A.p_name = name; p_head = head; p_components = components;
+    p_guard = guard; p_build = build }
 
-let terminals =
-  [ t_text; t_textbox; t_selection; t_radio; t_checkbox; t_button; t_image ]
+let left g a b = A.P_rel (H.Left_of g, a, b)
+let above g a b = A.P_rel (H.Above g, a, b)
+let below g a b = A.P_rel (H.Below g, a, b)
+let left_aligned t a b = A.P_rel (H.Left_aligned t, a, b)
 
-let nt = Symbol.nonterminal
-let attr = nt "Attr"
-let attr_bound = nt "AttrBound"
-let attr_tail = nt "AttrTail"
-let value = nt "Val"
-let sel_val = nt "SelVal"
-let op_sel = nt "OpSel"
-let bound_word = nt "BoundWord"
-let unit_word = nt "UnitWord"
-let action = nt "Action"
-let decor = nt "Decor"
-let rbu = nt "RBU"
-let rb_list = nt "RBList"
-let cbu = nt "CBU"
-let cb_list = nt "CBList"
-let op = nt "Op"
-let text_val = nt "TextVal"
-let text_op = nt "TextOp"
-let select_cp = nt "SelectCP"
-let enum_rb = nt "EnumRB"
-let check_cp = nt "CheckCP"
-let cb_solo = nt "CBSolo"
-let bound_val = nt "BoundVal"
-let bound_sel = nt "BoundSel"
-let range_body = nt "RangeBody"
-let range_sel_body = nt "RangeSelBody"
-let range_cp = nt "RangeCP"
-let range_sel_cp = nt "RangeSelCP"
-let date_body = nt "DateBody"
-let date_cp = nt "DateCP"
-let keyword_cp = nt "KeywordCP"
-let cp = nt "CP"
-let hqi = nt "HQI"
-let qi = nt "QI"
-
-let start = qi
-
-(* ------------------------------------------------------------------ *)
-(* Semantic access helpers                                             *)
-(* ------------------------------------------------------------------ *)
-
-let tok_sval (i : Instance.t) =
-  match i.token with Some tk -> tk.Wqi_token.Token.sval | None -> ""
-
-let tok_options (i : Instance.t) =
-  match i.token with Some tk -> tk.Wqi_token.Token.options | None -> []
-
-let str_of (i : Instance.t) =
-  match i.sem with Instance.S_str s -> s | _ -> ""
-
-let ops_of (i : Instance.t) =
-  match i.sem with Instance.S_ops l -> l | _ -> []
-
-let dom_of (i : Instance.t) =
-  match i.sem with Instance.S_domain d -> d | _ -> Condition.Text
-
-let cond ?operators ~attribute domain =
-  Instance.S_cond (Condition.make ?operators ~attribute domain)
-
-let enum_options (i : Instance.t) =
-  match dom_of i with Condition.Enumeration vs -> vs | _ -> []
-
-(* ------------------------------------------------------------------ *)
-(* Production helpers                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* [hints] restate the guard's spatial conjuncts declaratively so the
-   parser can enumerate candidates through its row-band index instead of
-   scanning whole stores.  Soundness rule: a hint may only be given when
-   the guard calls the very same relation with the same (or looser)
-   bounds on the same pair of components — the hint then prunes only
-   combinations the guard would reject anyway, and results stay
-   byte-identical with hints disabled. *)
-let prod name head components ?guard ?build ?hints () =
-  Production.make ~name ~head ~components ?guard ?build ?hints ()
-
-let g1 f = fun arr -> f arr.(0)
-let g2 f = fun arr -> f arr.(0) arr.(1)
-let g3 f = fun arr -> f arr.(0) arr.(1) arr.(2)
-
-(* ------------------------------------------------------------------ *)
-(* Atom productions                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let atoms =
-  [ prod "P-Attr" attr [ t_text ]
-      ~guard:(g1 (fun s -> Lexicon.plausible_attribute (tok_sval s)))
-      ~build:(g1 (fun s -> Instance.S_str (tok_sval s)))
-      ();
-    prod "P-Val" value [ t_textbox ]
-      ~build:(fun _ -> Instance.S_domain Condition.Text)
-      ();
-    prod "P-SelVal" sel_val [ t_selection ]
-      ~build:(g1 (fun s ->
-          Instance.S_domain (Condition.Enumeration (tok_options s))))
-      ();
-    prod "P-OpSel" op_sel [ t_selection ]
-      ~guard:(g1 (fun s -> Lexicon.all_operator_options (tok_options s)))
-      ~build:(g1 (fun s -> Instance.S_ops (tok_options s)))
-      ();
-    prod "P-AttrBound" attr_bound [ t_text ]
-      ~guard:
-        (g1 (fun s -> Lexicon.split_bound_suffix (tok_sval s) <> None))
-      ~build:
-        (g1 (fun s ->
-             match Lexicon.split_bound_suffix (tok_sval s) with
-             | Some (label, _marker) -> Instance.S_str label
-             | None -> Instance.S_none))
-      ();
-    prod "P-AttrTail" attr_tail [ t_text ]
-      ~guard:(g1 (fun s -> Lexicon.split_unit_prefix (tok_sval s) <> None))
-      ~build:
-        (g1 (fun s ->
-             match Lexicon.split_unit_prefix (tok_sval s) with
-             | Some (_unit, label) -> Instance.S_str label
-             | None -> Instance.S_none))
-      ();
-    prod "P-BoundWord" bound_word [ t_text ]
-      ~guard:(g1 (fun s -> Lexicon.is_bound_marker (tok_sval s)))
-      ~build:(g1 (fun s -> Instance.S_str (tok_sval s)))
-      ();
-    prod "P-UnitWord" unit_word [ t_text ]
-      ~guard:(g1 (fun s -> Lexicon.is_unit_word (tok_sval s)))
-      ();
-    prod "P-Action" action [ t_button ] ();
-    prod "P-Decor" decor [ t_image ] () ]
-
-(* ------------------------------------------------------------------ *)
-(* Radio / checkbox structure                                          *)
-(* ------------------------------------------------------------------ *)
+(* The two label conventions: label to the left of its field (columns
+   sized by the longest sibling label, hence the wide gap), or stacked
+   above it and left-aligned with it, which stops a label from
+   capturing a field in the row above or below within a label
+   column. *)
+let attr_left a b = left 150 a b
+let stacked_above a b = A.P_and [ above 40 a b; left_aligned 25 a b ]
 
 let unit_gap = 30
 
-let button_units =
-  [ prod "P-RBU" rbu [ t_radio; t_text ]
-      ~guard:(g2 (fun r s -> R.left ~max_gap:unit_gap r s))
-      ~build:(g2 (fun _ s -> Instance.S_str (tok_sval s)))
-      ~hints:[ H.left_of ~max_gap:unit_gap 0 1 ]
+let cond ?operators ~attribute domain = A.B_cond (operators, attribute, domain)
+
+(* ------------------------------------------------------------------ *)
+(* Productions                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Declaration order is the instance-id contract (ids break ties in
+   maximal-tree selection); test/golden/std_parse.txt pins it. *)
+
+let atoms =
+  [ p "P-Attr" "Attr" [ "text" ]
+      ~guard:(A.P_text_is ("plausible-attribute", A.Token_text, 0))
+      ~build:(A.B_str (A.S_token_text 0))
       ();
-    prod "P-CBU" cbu [ t_checkbox; t_text ]
-      ~guard:(g2 (fun c s -> R.left ~max_gap:unit_gap c s))
-      ~build:(g2 (fun _ s -> Instance.S_str (tok_sval s)))
-      ~hints:[ H.left_of ~max_gap:unit_gap 0 1 ]
+    p "P-Val" "Val" [ "textbox" ] ~build:(A.B_domain A.D_text) ();
+    p "P-SelVal" "SelVal" [ "selection" ]
+      ~build:(A.B_domain (A.D_enum (A.O_token_options 0)))
+      ();
+    p "P-OpSel" "OpSel" [ "selection" ]
+      ~guard:(A.P_options_class ("all-operator-options", 0))
+      ~build:(A.B_ops (A.O_token_options 0))
+      ();
+    p "P-AttrBound" "AttrBound" [ "text" ]
+      ~guard:(A.P_split_applies ("bound-suffix", 0))
+      ~build:(A.B_split_str ("bound-suffix", `First, 0))
+      ();
+    p "P-AttrTail" "AttrTail" [ "text" ]
+      ~guard:(A.P_split_applies ("unit-prefix", 0))
+      ~build:(A.B_split_str ("unit-prefix", `Second, 0))
+      ();
+    p "P-BoundWord" "BoundWord" [ "text" ]
+      ~guard:(A.P_text_is ("bound-marker", A.Token_text, 0))
+      ~build:(A.B_str (A.S_token_text 0))
+      ();
+    p "P-UnitWord" "UnitWord" [ "text" ]
+      ~guard:(A.P_text_is ("unit-word", A.Token_text, 0))
+      ();
+    p "P-Action" "Action" [ "button" ] ();
+    p "P-Decor" "Decor" [ "image" ] () ]
+
+let button_units =
+  [ p "P-RBU" "RBU" [ "radio"; "text" ]
+      ~guard:(left unit_gap 0 1)
+      ~build:(A.B_str (A.S_token_text 1))
+      ();
+    p "P-CBU" "CBU" [ "checkbox"; "text" ]
+      ~guard:(left unit_gap 0 1)
+      ~build:(A.B_str (A.S_token_text 1))
       () ]
 
 let list_of_units name list_sym unit_sym =
-  [ prod (name ^ "-base") list_sym [ unit_sym ]
-      ~build:(g1 (fun u -> Instance.S_ops [ str_of u ]))
+  [ p (name ^ "-base") list_sym [ unit_sym ]
+      ~build:(A.B_ops (A.O_singleton 0))
       ();
-    prod (name ^ "-h") list_sym [ list_sym; unit_sym ]
-      ~guard:(g2 (fun l u -> R.left ~max_gap:90 l u))
-      ~build:(g2 (fun l u -> Instance.S_ops (ops_of l @ [ str_of u ])))
-      ~hints:[ H.left_of ~max_gap:90 0 1 ]
+    p (name ^ "-h") list_sym [ list_sym; unit_sym ]
+      ~guard:(left 90 0 1)
+      ~build:(A.B_ops (A.O_append (0, 1)))
       ();
-    prod (name ^ "-v") list_sym [ list_sym; unit_sym ]
-      ~guard:
-        (g2 (fun l u ->
-             R.above ~max_gap:20 l u && R.left_aligned ~tolerance:10 l u))
-      ~build:(g2 (fun l u -> Instance.S_ops (ops_of l @ [ str_of u ])))
-      ~hints:[ H.above ~max_gap:20 0 1; H.left_aligned ~tolerance:10 0 1 ]
+    p (name ^ "-v") list_sym [ list_sym; unit_sym ]
+      ~guard:(A.P_and [ above 20 0 1; left_aligned 10 0 1 ])
+      ~build:(A.B_ops (A.O_append (0, 1)))
       () ]
 
 let lists =
-  list_of_units "P-RBList" rb_list rbu
-  @ list_of_units "P-CBList" cb_list cbu
+  list_of_units "P-RBList" "RBList" "RBU"
+  @ list_of_units "P-CBList" "CBList" "CBU"
 
 let op_productions =
-  [ prod "P-Op-RB" op [ rb_list ]
-      ~guard:(g1 (fun l -> List.exists Lexicon.is_operator_phrase (ops_of l)))
-      ~build:(g1 (fun l -> Instance.S_ops (ops_of l)))
+  [ p "P-Op-RB" "Op" [ "RBList" ]
+      ~guard:(A.P_ops_exists ("operator-phrase", 0))
+      ~build:(A.B_ops (A.O_sem_ops 0))
       ();
-    prod "P-Op-Sel" op [ op_sel ]
-      ~build:(g1 (fun s -> Instance.S_ops (ops_of s)))
-      ();
+    p "P-Op-Sel" "Op" [ "OpSel" ] ~build:(A.B_ops (A.O_sem_ops 0)) ();
     (* Checkbox modifier lists ("[x] exact match  [x] whole words"). *)
-    prod "P-Op-CB" op [ cb_list ]
-      ~guard:
-        (g1 (fun l -> List.for_all Lexicon.is_operator_phrase (ops_of l)))
-      ~build:(g1 (fun l -> Instance.S_ops (ops_of l)))
+    p "P-Op-CB" "Op" [ "CBList" ]
+      ~guard:(A.P_ops_forall ("operator-phrase", 0))
+      ~build:(A.B_ops (A.O_sem_ops 0))
       () ]
 
-(* ------------------------------------------------------------------ *)
-(* Condition patterns                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let text_val_build = g2 (fun a _v -> cond ~attribute:(str_of a) Condition.Text)
-
-(* Above/below attribute conventions also left-align the label with the
-   field; requiring it stops labels from capturing fields in the row
-   above or below within a label column. *)
-let stacked rel a b = rel a b && R.left_aligned ~tolerance:25 a b
-
-(* Attribute-to-field adjacency: label columns in real tables are sized
-   by their longest sibling label, so the gap between a short label and
-   its field can be large.  Association scoring still prefers the
-   tightest pairing when several fields compete. *)
-let attr_left_gap = 150
-let attr_left a b = R.left ~max_gap:attr_left_gap a b
-
-(* Hint counterparts of the two conventions above, by slot index. *)
-let h_attr_left a b = H.left_of ~max_gap:attr_left_gap a b
-let h_stacked_above a b = [ H.above a b; H.left_aligned ~tolerance:25 a b ]
+let text_val_build = cond ~attribute:(A.S_sem_str 0) A.D_text
 
 let text_vals =
-  [ prod "P-TextVal-left" text_val [ attr; value ]
-      ~guard:(g2 (fun a v -> attr_left a v))
-      ~build:text_val_build ~hints:[ h_attr_left 0 1 ] ();
-    prod "P-TextVal-above" text_val [ attr; value ]
-      ~guard:(g2 (fun a v -> stacked (R.above ?max_gap:None) a v))
-      ~build:text_val_build ~hints:(h_stacked_above 0 1) ();
-    prod "P-TextVal-below" text_val [ attr; value ]
-      ~guard:(g2 (fun a v -> stacked (R.below ~max_gap:14) a v))
-      ~build:text_val_build
-      ~hints:[ H.below ~max_gap:14 0 1; H.left_aligned ~tolerance:25 0 1 ]
-      ();
+  [ p "P-TextVal-left" "TextVal" [ "Attr"; "Val" ]
+      ~guard:(attr_left 0 1) ~build:text_val_build ();
+    p "P-TextVal-above" "TextVal" [ "Attr"; "Val" ]
+      ~guard:(stacked_above 0 1) ~build:text_val_build ();
+    p "P-TextVal-below" "TextVal" [ "Attr"; "Val" ]
+      ~guard:(A.P_and [ below 14 0 1; left_aligned 25 0 1 ])
+      ~build:text_val_build ();
     (* "...miles of ZIP [box]": the unit-prefixed run labels the next
        field. *)
-    prod "P-TextVal-tail" text_val [ attr_tail; value ]
-      ~guard:(g2 (fun a v -> R.left ~max_gap:60 a v))
-      ~build:text_val_build ~hints:[ H.left_of ~max_gap:60 0 1 ] ();
-    prod "P-TextVal-unit" text_val [ attr; value; unit_word ]
-      ~guard:(g3 (fun a v u -> attr_left a v && R.left ~max_gap:30 v u))
-      ~build:(g3 (fun a _v _u -> cond ~attribute:(str_of a) Condition.Text))
-      ~hints:[ h_attr_left 0 1; H.left_of ~max_gap:30 1 2 ]
-      () ]
+    p "P-TextVal-tail" "TextVal" [ "AttrTail"; "Val" ]
+      ~guard:(left 60 0 1) ~build:text_val_build ();
+    p "P-TextVal-unit" "TextVal" [ "Attr"; "Val"; "UnitWord" ]
+      ~guard:(A.P_and [ attr_left 0 1; left 30 1 2 ])
+      ~build:text_val_build () ]
 
 let text_op_build =
-  g3 (fun a _v o ->
-      cond ~operators:(ops_of o) ~attribute:(str_of a) Condition.Text)
+  cond ~operators:(A.O_sem_ops 2) ~attribute:(A.S_sem_str 0) A.D_text
 
 let text_op_build_op_mid =
-  g3 (fun a o _v ->
-      cond ~operators:(ops_of o) ~attribute:(str_of a) Condition.Text)
+  cond ~operators:(A.O_sem_ops 1) ~attribute:(A.S_sem_str 0) A.D_text
 
 let text_ops =
   [ (* Paper P5: Left(Attr, Val) ∧ Below(Op, Val) — operators under the
-       textbox, as in Qam's author condition. *)
-    prod "P-TextOp-below" text_op [ attr; value; op ]
-      ~guard:(g3 (fun a v o -> attr_left a v && R.above ~max_gap:24 v o))
-      ~build:text_op_build
-      ~hints:[ h_attr_left 0 1; H.above ~max_gap:24 1 2 ]
-      ();
-    prod "P-TextOp-right" text_op [ attr; value; op ]
-      ~guard:(g3 (fun a v o -> attr_left a v && R.left ~max_gap:90 v o))
-      ~build:text_op_build
-      ~hints:[ h_attr_left 0 1; H.left_of ~max_gap:90 1 2 ]
-      ();
-    prod "P-TextOp-opleft" text_op [ attr; op; value ]
-      ~guard:(g3 (fun a o v -> attr_left a o && R.left o v))
-      ~build:text_op_build_op_mid
-      ~hints:[ h_attr_left 0 1; H.left_of 1 2 ]
-      ();
-    prod "P-TextOp-attrabove" text_op [ attr; value; op ]
-      ~guard:(g3 (fun a v o -> R.above a v && R.above ~max_gap:24 v o))
-      ~build:text_op_build
-      ~hints:[ H.above 0 1; H.above ~max_gap:24 1 2 ]
-      () ]
+       textbox. *)
+    p "P-TextOp-below" "TextOp" [ "Attr"; "Val"; "Op" ]
+      ~guard:(A.P_and [ attr_left 0 1; above 24 1 2 ])
+      ~build:text_op_build ();
+    p "P-TextOp-right" "TextOp" [ "Attr"; "Val"; "Op" ]
+      ~guard:(A.P_and [ attr_left 0 1; left 90 1 2 ])
+      ~build:text_op_build ();
+    p "P-TextOp-opleft" "TextOp" [ "Attr"; "Op"; "Val" ]
+      ~guard:(A.P_and [ attr_left 0 1; left 60 1 2 ])
+      ~build:text_op_build_op_mid ();
+    p "P-TextOp-attrabove" "TextOp" [ "Attr"; "Val"; "Op" ]
+      ~guard:(A.P_and [ above 40 0 1; above 24 1 2 ])
+      ~build:text_op_build () ]
 
-let select_build =
-  g2 (fun a s -> cond ~attribute:(str_of a) (dom_of s))
+let select_build = cond ~attribute:(A.S_sem_str 0) (A.D_of_slot 1)
 
 let select_cps =
-  [ prod "P-SelectCP-left" select_cp [ attr; sel_val ]
-      ~guard:(g2 (fun a s -> attr_left a s))
-      ~build:select_build ~hints:[ h_attr_left 0 1 ] ();
-    prod "P-SelectCP-above" select_cp [ attr; sel_val ]
-      ~guard:(g2 (fun a s -> stacked (R.above ?max_gap:None) a s))
-      ~build:select_build ~hints:(h_stacked_above 0 1) () ]
+  [ p "P-SelectCP-left" "SelectCP" [ "Attr"; "SelVal" ]
+      ~guard:(attr_left 0 1) ~build:select_build ();
+    p "P-SelectCP-above" "SelectCP" [ "Attr"; "SelVal" ]
+      ~guard:(stacked_above 0 1) ~build:select_build () ]
 
 let enum_rb_build =
-  g2 (fun a l ->
-      cond ~attribute:(str_of a) (Condition.Enumeration (ops_of l)))
+  cond ~attribute:(A.S_sem_str 0) (A.D_enum (A.O_sem_ops 1))
 
 let enum_rbs =
   [ (* Paper P7: a bare radio-button list is itself a condition. *)
-    prod "P-EnumRB-bare" enum_rb [ rb_list ]
-      ~guard:(g1 (fun l -> List.length (ops_of l) >= 2))
-      ~build:
-        (g1 (fun l ->
-             cond ~attribute:"" (Condition.Enumeration (ops_of l))))
+    p "P-EnumRB-bare" "EnumRB" [ "RBList" ]
+      ~guard:(A.P_ops_count_ge (2, 0))
+      ~build:(cond ~attribute:(A.S_lit "") (A.D_enum (A.O_sem_ops 0)))
       ();
-    prod "P-EnumRB-left" enum_rb [ attr; rb_list ]
-      ~guard:(g2 (fun a l -> attr_left a l))
-      ~build:enum_rb_build ~hints:[ h_attr_left 0 1 ] ();
-    prod "P-EnumRB-above" enum_rb [ attr; rb_list ]
-      ~guard:(g2 (fun a l -> stacked (R.above ?max_gap:None) a l))
-      ~build:enum_rb_build ~hints:(h_stacked_above 0 1) () ]
+    p "P-EnumRB-left" "EnumRB" [ "Attr"; "RBList" ]
+      ~guard:(attr_left 0 1) ~build:enum_rb_build ();
+    p "P-EnumRB-above" "EnumRB" [ "Attr"; "RBList" ]
+      ~guard:(stacked_above 0 1) ~build:enum_rb_build () ]
 
 let check_cp_build =
-  g2 (fun a l ->
-      cond ~attribute:(str_of a) (Condition.Enumeration (ops_of l)))
+  cond ~attribute:(A.S_sem_str 0) (A.D_enum (A.O_sem_ops 1))
 
 let check_cps =
-  [ prod "P-CheckCP-bare" check_cp [ cb_list ]
-      ~guard:(g1 (fun l -> List.length (ops_of l) >= 2))
-      ~build:
-        (g1 (fun l ->
-             cond ~attribute:"" (Condition.Enumeration (ops_of l))))
+  [ p "P-CheckCP-bare" "CheckCP" [ "CBList" ]
+      ~guard:(A.P_ops_count_ge (2, 0))
+      ~build:(cond ~attribute:(A.S_lit "") (A.D_enum (A.O_sem_ops 0)))
       ();
-    prod "P-CheckCP-left" check_cp [ attr; cb_list ]
-      ~guard:(g2 (fun a l -> attr_left a l))
-      ~build:check_cp_build ~hints:[ h_attr_left 0 1 ] ();
-    prod "P-CheckCP-above" check_cp [ attr; cb_list ]
-      ~guard:(g2 (fun a l -> stacked (R.above ?max_gap:None) a l))
-      ~build:check_cp_build ~hints:(h_stacked_above 0 1) ();
-    prod "P-CBSolo" cb_solo [ cbu ]
+    p "P-CheckCP-left" "CheckCP" [ "Attr"; "CBList" ]
+      ~guard:(attr_left 0 1) ~build:check_cp_build ();
+    p "P-CheckCP-above" "CheckCP" [ "Attr"; "CBList" ]
+      ~guard:(stacked_above 0 1) ~build:check_cp_build ();
+    p "P-CBSolo" "CBSolo" [ "CBU" ]
       ~build:
-        (g1 (fun u ->
-             cond ~attribute:(str_of u)
-               (Condition.Enumeration [ str_of u ])))
+        (cond ~attribute:(A.S_sem_str 0) (A.D_enum (A.O_singleton 0)))
       () ]
 
 let bounds =
-  [ prod "P-BoundVal" bound_val [ bound_word; value ]
-      ~guard:(g2 (fun w v -> R.left ~max_gap:40 w v))
-      ~build:(fun _ -> Instance.S_domain Condition.Text)
-      ~hints:[ H.left_of ~max_gap:40 0 1 ]
+  [ p "P-BoundVal" "BoundVal" [ "BoundWord"; "Val" ]
+      ~guard:(left 40 0 1)
+      ~build:(A.B_domain A.D_text)
       ();
-    prod "P-BoundSel" bound_sel [ bound_word; sel_val ]
-      ~guard:(g2 (fun w s -> R.left ~max_gap:40 w s))
-      ~build:(g2 (fun _ s -> Instance.S_domain (dom_of s)))
-      ~hints:[ H.left_of ~max_gap:40 0 1 ]
+    p "P-BoundSel" "BoundSel" [ "BoundWord"; "SelVal" ]
+      ~guard:(left 40 0 1)
+      ~build:(A.B_domain (A.D_of_slot 1))
       () ]
 
 let range_bodies =
-  [ prod "P-RangeBody-h" range_body [ bound_val; bound_val ]
-      ~guard:(g2 (fun a b -> R.left ~max_gap:120 a b))
-      ~build:(fun _ -> Instance.S_domain (Condition.Range Condition.Text))
-      ~hints:[ H.left_of ~max_gap:120 0 1 ]
+  [ p "P-RangeBody-h" "RangeBody" [ "BoundVal"; "BoundVal" ]
+      ~guard:(left 120 0 1)
+      ~build:(A.B_domain (A.D_range A.D_text))
       ();
-    prod "P-RangeBody-v" range_body [ bound_val; bound_val ]
-      ~guard:(g2 (fun a b -> R.above ~max_gap:24 a b))
-      ~build:(fun _ -> Instance.S_domain (Condition.Range Condition.Text))
-      ~hints:[ H.above ~max_gap:24 0 1 ]
+    p "P-RangeBody-v" "RangeBody" [ "BoundVal"; "BoundVal" ]
+      ~guard:(above 24 0 1)
+      ~build:(A.B_domain (A.D_range A.D_text))
       ();
     (* "Attr [tb] to [tb]": the first bound carries no marker. *)
-    prod "P-RangeBody-valfirst" range_body [ value; bound_val ]
-      ~guard:(g2 (fun v b -> R.left ~max_gap:60 v b))
-      ~build:(fun _ -> Instance.S_domain (Condition.Range Condition.Text))
-      ~hints:[ H.left_of ~max_gap:60 0 1 ]
+    p "P-RangeBody-valfirst" "RangeBody" [ "Val"; "BoundVal" ]
+      ~guard:(left 60 0 1)
+      ~build:(A.B_domain (A.D_range A.D_text))
       ();
-    prod "P-RangeSelBody-h" range_sel_body [ bound_sel; bound_sel ]
-      ~guard:(g2 (fun a b -> R.left ~max_gap:120 a b))
-      ~build:
-        (g2 (fun a _ -> Instance.S_domain (Condition.Range (dom_of a))))
-      ~hints:[ H.left_of ~max_gap:120 0 1 ]
+    p "P-RangeSelBody-h" "RangeSelBody" [ "BoundSel"; "BoundSel" ]
+      ~guard:(left 120 0 1)
+      ~build:(A.B_domain (A.D_range (A.D_of_slot 0)))
       ();
-    prod "P-RangeSelBody-v" range_sel_body [ bound_sel; bound_sel ]
-      ~guard:(g2 (fun a b -> R.above ~max_gap:24 a b))
-      ~build:
-        (g2 (fun a _ -> Instance.S_domain (Condition.Range (dom_of a))))
-      ~hints:[ H.above ~max_gap:24 0 1 ]
+    p "P-RangeSelBody-v" "RangeSelBody" [ "BoundSel"; "BoundSel" ]
+      ~guard:(above 24 0 1)
+      ~build:(A.B_domain (A.D_range (A.D_of_slot 0)))
       () ]
 
 let range_build =
-  g2 (fun a body ->
-      cond ~operators:[ "between" ] ~attribute:(str_of a) (dom_of body))
+  cond ~operators:(A.O_lit [ "between" ]) ~attribute:(A.S_sem_str 0)
+    (A.D_of_slot 1)
 
-(* "From: [box] To: [box]" on an airfare form is two attributed
-   conditions, not a range: a range pattern's attribute is never itself
-   a bare bound marker. *)
-let range_attr_ok a = not (Lexicon.is_bound_marker (str_of a))
+(* "From: [box] To: [box]" is two attributed conditions, not a range:
+   a range pattern's attribute is never itself a bare bound marker. *)
+let range_attr_ok a = A.P_not (A.P_text_is ("bound-marker", A.Sem_str, a))
 
 let range_cps =
-  [ prod "P-RangeCP-combined" range_cp [ attr_bound; value; bound_val ]
-      ~guard:
-        (g3 (fun a v b -> attr_left a v && R.left ~max_gap:60 v b))
+  [ p "P-RangeCP-combined" "RangeCP" [ "AttrBound"; "Val"; "BoundVal" ]
+      ~guard:(A.P_and [ attr_left 0 1; left 60 1 2 ])
       ~build:
-        (g3 (fun a _v _b ->
-             cond ~operators:[ "between" ] ~attribute:(str_of a)
-               (Condition.Range Condition.Text)))
-      ~hints:[ h_attr_left 0 1; H.left_of ~max_gap:60 1 2 ]
+        (cond ~operators:(A.O_lit [ "between" ]) ~attribute:(A.S_sem_str 0)
+           (A.D_range A.D_text))
       ();
-    prod "P-RangeSelCP-combined" range_sel_cp [ attr_bound; sel_val; bound_sel ]
-      ~guard:
-        (g3 (fun a v b -> attr_left a v && R.left ~max_gap:60 v b))
+    p "P-RangeSelCP-combined" "RangeSelCP" [ "AttrBound"; "SelVal"; "BoundSel" ]
+      ~guard:(A.P_and [ attr_left 0 1; left 60 1 2 ])
       ~build:
-        (g3 (fun a v _b ->
-             cond ~operators:[ "between" ] ~attribute:(str_of a)
-               (Condition.Range (dom_of v))))
-      ~hints:[ h_attr_left 0 1; H.left_of ~max_gap:60 1 2 ]
+        (cond ~operators:(A.O_lit [ "between" ]) ~attribute:(A.S_sem_str 0)
+           (A.D_range (A.D_of_slot 1)))
       ();
-    prod "P-RangeCP-left" range_cp [ attr; range_body ]
-      ~guard:(g2 (fun a b -> range_attr_ok a && attr_left a b))
-      ~build:range_build ~hints:[ h_attr_left 0 1 ] ();
-    prod "P-RangeCP-above" range_cp [ attr; range_body ]
-      ~guard:
-        (g2 (fun a b -> range_attr_ok a && stacked (R.above ?max_gap:None) a b))
-      ~build:range_build ~hints:(h_stacked_above 0 1) ();
-    prod "P-RangeSelCP-left" range_sel_cp [ attr; range_sel_body ]
-      ~guard:(g2 (fun a b -> range_attr_ok a && attr_left a b))
-      ~build:range_build ~hints:[ h_attr_left 0 1 ] ();
-    prod "P-RangeSelCP-above" range_sel_cp [ attr; range_sel_body ]
-      ~guard:
-        (g2 (fun a b -> range_attr_ok a && stacked (R.above ?max_gap:None) a b))
-      ~build:range_build ~hints:(h_stacked_above 0 1) () ]
-
-let date_combo insts =
-  Lexicon.plausible_date_combo (List.map enum_options insts)
+    p "P-RangeCP-left" "RangeCP" [ "Attr"; "RangeBody" ]
+      ~guard:(A.P_and [ range_attr_ok 0; attr_left 0 1 ])
+      ~build:range_build ();
+    p "P-RangeCP-above" "RangeCP" [ "Attr"; "RangeBody" ]
+      ~guard:(A.P_and [ range_attr_ok 0; above 40 0 1; left_aligned 25 0 1 ])
+      ~build:range_build ();
+    p "P-RangeSelCP-left" "RangeSelCP" [ "Attr"; "RangeSelBody" ]
+      ~guard:(A.P_and [ range_attr_ok 0; attr_left 0 1 ])
+      ~build:range_build ();
+    p "P-RangeSelCP-above" "RangeSelCP" [ "Attr"; "RangeSelBody" ]
+      ~guard:(A.P_and [ range_attr_ok 0; above 40 0 1; left_aligned 25 0 1 ])
+      ~build:range_build () ]
 
 let date_bodies =
-  [ prod "P-DateBody-3" date_body [ sel_val; sel_val; sel_val ]
+  [ p "P-DateBody-3" "DateBody" [ "SelVal"; "SelVal"; "SelVal" ]
       ~guard:
-        (g3 (fun a b c ->
-             R.left ~max_gap:30 a b && R.left ~max_gap:30 b c
-             && date_combo [ a; b; c ]))
-      ~build:(fun _ -> Instance.S_domain Condition.Datetime)
-      ~hints:[ H.left_of ~max_gap:30 0 1; H.left_of ~max_gap:30 1 2 ]
+        (A.P_and
+           [ left 30 0 1; left 30 1 2; A.P_combo ("date-combo", [ 0; 1; 2 ]) ])
+      ~build:(A.B_domain A.D_datetime)
       ();
-    prod "P-DateBody-2" date_body [ sel_val; sel_val ]
-      ~guard:
-        (g2 (fun a b -> R.left ~max_gap:30 a b && date_combo [ a; b ]))
-      ~build:(fun _ -> Instance.S_domain Condition.Datetime)
-      ~hints:[ H.left_of ~max_gap:30 0 1 ]
+    p "P-DateBody-2" "DateBody" [ "SelVal"; "SelVal" ]
+      ~guard:(A.P_and [ left 30 0 1; A.P_combo ("date-combo", [ 0; 1 ]) ])
+      ~build:(A.B_domain A.D_datetime)
       () ]
 
-let date_build =
-  g2 (fun a _b -> cond ~attribute:(str_of a) Condition.Datetime)
+let date_build = cond ~attribute:(A.S_sem_str 0) A.D_datetime
 
 let date_cps =
-  [ prod "P-DateCP-left" date_cp [ attr; date_body ]
-      ~guard:(g2 (fun a b -> attr_left a b))
-      ~build:date_build ~hints:[ h_attr_left 0 1 ] ();
-    prod "P-DateCP-above" date_cp [ attr; date_body ]
-      ~guard:(g2 (fun a b -> stacked (R.above ?max_gap:None) a b))
-      ~build:date_build ~hints:(h_stacked_above 0 1) () ]
+  [ p "P-DateCP-left" "DateCP" [ "Attr"; "DateBody" ]
+      ~guard:(attr_left 0 1) ~build:date_build ();
+    p "P-DateCP-above" "DateCP" [ "Attr"; "DateBody" ]
+      ~guard:(stacked_above 0 1) ~build:date_build () ]
 
 let keyword_cps =
-  [ prod "P-KeywordCP" keyword_cp [ value; action ]
-      ~guard:(g2 (fun v a -> R.left ~max_gap:60 v a))
-      ~build:(fun _ -> cond ~attribute:"" Condition.Text)
-      ~hints:[ H.left_of ~max_gap:60 0 1 ]
+  [ p "P-KeywordCP" "KeywordCP" [ "Val"; "Action" ]
+      ~guard:(left 60 0 1)
+      ~build:(cond ~attribute:(A.S_lit "") A.D_text)
       () ]
 
-(* ------------------------------------------------------------------ *)
-(* Assembly: CP, HQI, QI                                               *)
-(* ------------------------------------------------------------------ *)
-
-let lift_conditions (i : Instance.t) =
-  match i.sem with
-  | Instance.S_cond c -> Instance.S_conds [ c ]
-  | Instance.S_conds cs -> Instance.S_conds cs
-  | Instance.S_none | Instance.S_str _ | Instance.S_ops _
-  | Instance.S_domain _ ->
-    Instance.S_conds []
-
 let cp_alternatives =
-  [ text_val; text_op; select_cp; enum_rb; check_cp; cb_solo; range_cp;
-    range_sel_cp; date_cp; keyword_cp; action; decor ]
+  [ "TextVal"; "TextOp"; "SelectCP"; "EnumRB"; "CheckCP"; "CBSolo";
+    "RangeCP"; "RangeSelCP"; "DateCP"; "KeywordCP"; "Action"; "Decor" ]
 
 let cp_productions =
   List.map
-    (fun alt ->
-       prod ("P-CP-" ^ Symbol.name alt) cp [ alt ]
-         ~build:(g1 lift_conditions) ())
+    (fun alt -> p ("P-CP-" ^ alt) "CP" [ alt ] ~build:(A.B_lift 0) ())
     cp_alternatives
 
-let concat_conds (a : Instance.t) (b : Instance.t) =
-  let conds_of (i : Instance.t) =
-    match i.sem with Instance.S_conds cs -> cs | _ -> []
-  in
-  Instance.S_conds (conds_of a @ conds_of b)
-
 let assembly =
-  [ prod "P-HQI-base" hqi [ cp ] ~build:(g1 lift_conditions) ();
-    prod "P-HQI-left" hqi [ hqi; cp ]
-      ~guard:(g2 (fun row c -> R.left ~max_gap:150 row c))
-      ~build:(g2 concat_conds) ~hints:[ H.left_of ~max_gap:150 0 1 ] ();
-    prod "P-QI-base" qi [ hqi ] ~build:(g1 lift_conditions) ();
-    prod "P-QI-above" qi [ qi; hqi ]
-      ~guard:(g2 (fun q row -> R.above ~max_gap:120 q row))
-      ~build:(g2 concat_conds) ~hints:[ H.above ~max_gap:120 0 1 ] () ]
+  [ p "P-HQI-base" "HQI" [ "CP" ] ~build:(A.B_lift 0) ();
+    p "P-HQI-left" "HQI" [ "HQI"; "CP" ]
+      ~guard:(left 150 0 1)
+      ~build:(A.B_concat (0, 1))
+      ();
+    p "P-QI-base" "QI" [ "HQI" ] ~build:(A.B_lift 0) ();
+    p "P-QI-above" "QI" [ "QI"; "HQI" ]
+      ~guard:(above 120 0 1)
+      ~build:(A.B_concat (0, 1))
+      () ]
 
 let productions =
   atoms @ button_units @ lists @ op_productions @ text_vals @ text_ops
@@ -502,118 +314,41 @@ let productions =
   @ date_bodies @ date_cps @ keyword_cps @ cp_productions @ assembly
 
 (* ------------------------------------------------------------------ *)
-(* Preferences                                                         *)
+(* Preferences (in enforcement order, which the golden pins too)       *)
 (* ------------------------------------------------------------------ *)
 
-let cover_size (i : Instance.t) = Bitset.cardinal i.Instance.cover
+let pref name winner loser kind =
+  { A.r_name = name; r_winner = winner; r_loser = loser; r_kind = kind }
 
-(* The longer of two subsuming instances of the same symbol wins (the
-   paper's R2, generalized).  Descendants of the winner are spared by the
-   parser itself. *)
-let subsume_pref sym =
-  Preference.make
-    ~name:("R-subsume-" ^ Symbol.name sym)
-    ~winner:sym ~loser:sym
-    ~conflict:(fun v1 v2 -> Instance.subsumes v1 v2)
-    ~wins:(fun v1 v2 -> cover_size v1 > cover_size v2)
-    ()
-
-(* Winner type beats loser type whenever they compete for tokens. *)
-let beats ~name winner loser = Preference.make ~name ~winner ~loser ()
-
-(* Between two readings of the same pattern, the one whose attribute
-   does not still carry a bound marker or a unit parsed the label
-   correctly ("Price range" beats "Price range from"; "ZIP" beats
-   "miles of ZIP"). *)
-let attribute_of (i : Instance.t) =
-  match i.sem with
-  | Instance.S_cond c -> c.Condition.attribute
-  | _ -> ""
-
-let dirty_attribute label =
-  Lexicon.split_bound_suffix label <> None
-  || Lexicon.split_unit_prefix label <> None
+let beats ~name winner loser = pref name winner loser A.K_beats
+let subsume_pref sym = pref ("R-subsume-" ^ sym) sym sym A.K_subsume
+let closest_unit sym = pref ("R-closest-" ^ sym) sym sym A.K_closest_unit
 
 let clean_range_attr sym =
-  Preference.make
-    ~name:("R-clean-attr-" ^ Symbol.name sym)
-    ~winner:sym ~loser:sym
-    ~wins:(fun v1 v2 ->
-        (not (dirty_attribute (attribute_of v1)))
-        && dirty_attribute (attribute_of v2))
-    ()
+  pref ("R-clean-attr-" ^ sym) sym sym
+    (A.K_clean_attr [ "bound-suffix"; "unit-prefix" ])
 
-(* For units (radio/checkbox + label), the tighter pairing wins. *)
-let unit_distance (i : Instance.t) =
-  match i.children with
-  | [ box_child; label ] -> R.h_gap box_child label
-  | _ -> max_int
-
-let closest_unit sym =
-  Preference.make
-    ~name:("R-closest-" ^ Symbol.name sym)
-    ~winner:sym ~loser:sym
-    ~wins:(fun v1 v2 -> unit_distance v1 < unit_distance v2)
-    ()
-
-(* --- Association scoring -------------------------------------------
-   When two condition patterns compete for an attribute label or a
-   field, the tighter, more conventional association should win:
-   a label binds to the field on its right before a field below it,
-   and never across a larger gap when a closer pairing exists.  The
-   score orders (relation class, gap, bounding area): left-of is the
-   strongest convention, then above/below, then anything else; ties
-   break toward the more compact interpretation. *)
-
-let is_attr_sym (i : Instance.t) =
-  Symbol.equal i.sym attr || Symbol.equal i.sym attr_bound
-  || Symbol.equal i.sym attr_tail
-
-let assoc_score (i : Instance.t) =
-  match i.children with
-  | a :: (_ :: _ as rest) when is_attr_sym a ->
-    let field_box =
-      Wqi_layout.Geometry.union_all
-        (List.map (fun (c : Instance.t) -> c.box) rest)
-    in
-    let gap = Wqi_layout.Geometry.h_gap a.box field_box in
-    let vgap = Wqi_layout.Geometry.v_gap a.box field_box in
-    if Wqi_layout.Geometry.left_of ~max_gap:10_000 a.box field_box then
-      (0, gap)
-    else (1000, vgap)
-  | _ ->
-    (* Bare (attribute-less) patterns lose to any attributed reading. *)
-    (3000, 0)
-
-(* Between equally tight associations, keep the reading that explains
-   more tokens (the longer list), then the more compact one. *)
-let assoc_wins v1 v2 =
-  let s1 = assoc_score v1 and s2 = assoc_score v2 in
-  if s1 <> s2 then s1 < s2
-  else
-    let c1 = cover_size v1 and c2 = cover_size v2 in
-    if c1 <> c2 then c1 > c2
-    else R.width v1 * R.height v1 < R.width v2 * R.height v2
+let attr_symbols = [ "Attr"; "AttrBound"; "AttrTail" ]
 
 let assoc_pref winner loser =
-  Preference.make
-    ~name:
-      (Fmt.str "R-assoc-%s-%s" (Symbol.name winner) (Symbol.name loser))
-    ~winner ~loser ~wins:assoc_wins ()
+  pref
+    (Printf.sprintf "R-assoc-%s-%s" winner loser)
+    winner loser (A.K_assoc attr_symbols)
 
 (* Pattern-precedence pairs are arbitrated unconditionally, never by
-   association score (an operator list under a textbox *is* the farther
-   reading, yet the conventional one). *)
+   association score (an operator list under a textbox is the farther
+   reading, yet the conventional one); every other pair in the
+   attribute-field family is arbitrated by association score. *)
 let precedence_pairs =
-  [ (text_op, text_val); (text_op, enum_rb); (text_op, select_cp);
-    (date_cp, select_cp); (range_cp, text_val); (range_cp, select_cp);
-    (range_sel_cp, select_cp); (check_cp, cb_solo);
-    (text_op, check_cp); (text_op, cb_solo);
-    (text_val, keyword_cp); (select_cp, keyword_cp) ]
+  [ ("TextOp", "TextVal"); ("TextOp", "EnumRB"); ("TextOp", "SelectCP");
+    ("DateCP", "SelectCP"); ("RangeCP", "TextVal"); ("RangeCP", "SelectCP");
+    ("RangeSelCP", "SelectCP"); ("CheckCP", "CBSolo");
+    ("TextOp", "CheckCP"); ("TextOp", "CBSolo");
+    ("TextVal", "KeywordCP"); ("SelectCP", "KeywordCP") ]
 
 let attr_field_family =
-  [ text_val; text_op; select_cp; enum_rb; check_cp; date_cp; range_cp;
-    range_sel_cp ]
+  [ "TextVal"; "TextOp"; "SelectCP"; "EnumRB"; "CheckCP"; "DateCP";
+    "RangeCP"; "RangeSelCP" ]
 
 let assoc_prefs =
   List.concat_map
@@ -623,8 +358,7 @@ let assoc_prefs =
             let excluded =
               List.exists
                 (fun (w, l) ->
-                   (Symbol.equal w winner && Symbol.equal l loser)
-                   || (Symbol.equal w loser && Symbol.equal l winner))
+                   (w = winner && l = loser) || (w = loser && l = winner))
                 precedence_pairs
             in
             if excluded then None else Some (assoc_pref winner loser))
@@ -633,36 +367,51 @@ let assoc_prefs =
 
 let preferences =
   (* R1 (paper): a unit binds its label more tightly than Attr does. *)
-  [ beats ~name:"R1-RBU-Attr" rbu attr;
-    beats ~name:"R1-CBU-Attr" cbu attr;
-    closest_unit rbu;
-    closest_unit cbu;
+  [ beats ~name:"R1-RBU-Attr" "RBU" "Attr";
+    beats ~name:"R1-CBU-Attr" "CBU" "Attr";
+    closest_unit "RBU";
+    closest_unit "CBU";
     (* R2 (paper): longer lists win. *)
-    subsume_pref rb_list;
-    subsume_pref cb_list ]
-  (* Pattern precedence. *)
+    subsume_pref "RBList";
+    subsume_pref "CBList" ]
   @ List.map
-      (fun (w, l) ->
-         beats ~name:(Fmt.str "R-%s-%s" (Symbol.name w) (Symbol.name l)) w l)
+      (fun (w, l) -> beats ~name:(Printf.sprintf "R-%s-%s" w l) w l)
       precedence_pairs
-  (* Association-score arbitration across and within patterns. *)
   @ assoc_prefs
-  (* Structural maximality. *)
-  @ [ clean_range_attr range_cp;
-      clean_range_attr range_sel_cp;
-      clean_range_attr text_val;
-      subsume_pref date_body;
-      subsume_pref range_body;
-      subsume_pref enum_rb;
-      subsume_pref check_cp;
-      subsume_pref hqi;
-      subsume_pref qi ]
+  @ [ clean_range_attr "RangeCP";
+      clean_range_attr "RangeSelCP";
+      clean_range_attr "TextVal";
+      subsume_pref "DateBody";
+      subsume_pref "RangeBody";
+      subsume_pref "EnumRB";
+      subsume_pref "CheckCP";
+      subsume_pref "HQI";
+      subsume_pref "QI" ]
+
+let decl =
+  { A.g_name = "std";
+    g_version = "1";
+    g_terminals =
+      [ "text"; "textbox"; "selection"; "radio"; "checkbox"; "button";
+        "image" ];
+    g_start = "QI";
+    g_productions = productions;
+    g_preferences = preferences }
 
 let grammar =
-  G.Grammar.make ~terminals ~start ~productions ~preferences ()
+  match A.instantiate env decl with
+  | Ok g -> g
+  | Error msgs ->
+    invalid_arg
+      ("Std: standard grammar failed to instantiate: "
+       ^ String.concat "; " msgs)
+
+let start = grammar.Wqi_grammar.Grammar.start
+let terminals = grammar.Wqi_grammar.Grammar.terminals
 
 (* Compile once at load: the pack (symbol interning, dispatch tables,
    arena pool) is immutable apart from its lock-free pool, so one shared
    copy serves every thread and domain. *)
 let compiled =
-  Wqi_parser.Engine.compile ~name:"std" ~version:"1" grammar
+  Wqi_parser.Engine.compile ~name:decl.A.g_name ~version:decl.A.g_version
+    grammar

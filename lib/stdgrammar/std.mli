@@ -4,16 +4,27 @@
     (21 recurring condition patterns; 82 productions, 39 nonterminals, 16
     terminals) and shows it generalizes to new sources, new domains and
     random sources.  This module is our derivation of that grammar for
-    the same pattern vocabulary.
+    the same pattern vocabulary: 73 productions over 33 nonterminals and
+    7 terminals (one per token kind), with 75 preferences.
+
+    The grammar is stated once, as {!Wqi_grammar.Algebra} data
+    ({!decl}), and compiled once through the algebra's guards
+    ({!grammar}); production hints come from
+    {!Wqi_grammar.Algebra.derived_hints}, so each hint is implied by its
+    guard by construction.  [examples/grammars/std.wqg] is
+    {!Wqi_grammar.Loader.dump} of {!decl}, committed, and
+    [test/golden/std_parse.txt] pins what the grammar parses on the
+    equivalence corpus, instance ids and guard counts included.
 
     Nonterminal inventory (paper names kept where they exist):
 
-    - atoms: [Attr], [Val], [SelVal], [OpSel], [BoundWord], [Action],
-      [Decor]
+    - atoms: [Attr], [AttrBound], [AttrTail], [Val], [SelVal], [OpSel],
+      [BoundWord], [UnitWord], [Action], [Decor]
     - radio/checkbox structure: [RBU], [RBList], [CBU], [CBList], [Op]
     - condition patterns: [TextVal], [TextOp], [SelectCP], [EnumRB],
       [CheckCP], [CBSolo], [RangeCP], [RangeSelCP], [DateCP],
-      [KeywordCP]
+      [KeywordCP], with the bodies [BoundVal], [BoundSel], [RangeBody],
+      [RangeSelBody], [DateBody]
     - assembly: [CP], [HQI], [QI] (start symbol)
 
     Preferences encode the precedence conventions of Section 4.2
@@ -22,8 +33,19 @@
     precedence such as TextOp over TextVal; and closest-pairing for
     equal-type conflicts). *)
 
+val env : Wqi_grammar.Algebra.env
+(** The standard lexical environment: {!Lexicon} judgements under
+    stable names — text classes [plausible-attribute], [bound-marker],
+    [unit-word], [operator-phrase]; options class
+    [all-operator-options]; splitters [bound-suffix], [unit-prefix];
+    combo [date-combo].  Grammar files are resolved against these
+    names. *)
+
+val decl : Wqi_grammar.Algebra.grammar
+(** The standard grammar as data, name ["std"], version ["1"]. *)
+
 val grammar : Wqi_grammar.Grammar.t
-(** The derived grammar; passes [Grammar.validate]. *)
+(** {!decl} instantiated against {!env}; passes [Grammar.validate]. *)
 
 val start : Wqi_grammar.Symbol.t
 (** The start symbol [QI]. *)
@@ -32,8 +54,9 @@ val terminals : Wqi_grammar.Symbol.t list
 (** The terminal symbols, one per token kind. *)
 
 val compiled : Wqi_parser.Engine.compiled
-(** [grammar] compiled once at module load — interned symbol tables,
-    flat dispatch tables and a shared arena pool.  Every consumer of
-    the standard grammar ([wqi_core]'s default config, the CLI, the
-    server, benches) should parse through this pack rather than paying
+(** [grammar] compiled once at module load under {!decl}'s identity
+    [std]/[1] — interned symbol tables, flat dispatch tables and a
+    shared arena pool.  Every consumer of the standard grammar
+    ([wqi_core]'s default config, the CLI, the server, benches) should
+    parse through this pack rather than paying
     {!Wqi_parser.Engine.compile} per call site. *)

@@ -1,14 +1,19 @@
-(* Regenerates the committed Export-v2 golden files next to
-   complete.html.  Run after an intentional wire-format change:
+(* Regenerates the committed golden files next to complete.html.  Run
+   after an intentional wire-format or standard-grammar change:
 
      dune exec test/golden/gen_golden.exe -- test/golden
 
-   then review the diff and commit.  The goldens are produced with
-   [export ~timings:false], so they are byte-stable: a pure function of
-   the fixture markup and the budget spec.  The degraded golden trips a
-   parser-instance cap (caps are deterministic, unlike wall-clock
-   deadlines); the failed golden goes through [Extractor.failed], the
-   representation batch drivers use for out-of-pipeline errors. *)
+   then review the diff and commit.  std_parse.txt is the standard
+   grammar's parse golden (see std_golden.ml): regenerate it only when
+   a change to the grammar declaration is meant to change parses, and
+   check that the diff touches only the productions and sources the
+   change was meant to affect.  The Export-v2 goldens are produced
+   with [export ~timings:false], so they are byte-stable: a pure
+   function of the fixture markup and the budget spec.  The degraded
+   golden trips a parser-instance cap (caps are deterministic, unlike
+   wall-clock deadlines); the failed golden goes through
+   [Extractor.failed], the representation batch drivers use for
+   out-of-pipeline errors. *)
 
 module Extractor = Wqi_core.Extractor
 module Budget = Wqi_core.Budget
@@ -60,4 +65,8 @@ let () =
   write_file
     (Filename.concat dir "trace.json")
     (Trace.to_chrome_json ~scrub_timestamps:true trace ^ "\n");
-  Printf.printf "wrote %s (golden-trace)\n" (Filename.concat dir "trace.json")
+  Printf.printf "wrote %s (golden-trace)\n" (Filename.concat dir "trace.json");
+  write_file
+    (Filename.concat dir "std_parse.txt")
+    (Std_golden.render Wqi_stdgrammar.Std.grammar);
+  Printf.printf "wrote %s (std-parse)\n" (Filename.concat dir "std_parse.txt")

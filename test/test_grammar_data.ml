@@ -1,14 +1,12 @@
-(* Grammar-as-data suite: the declarative standard grammar (Std_decl,
-   the Algebra twin of Std's hand-written closures) and the .wqg file
-   format must be exactly as trustworthy as the compiled grammar they
-   replace.  Three layers:
+(* Grammar-as-data suite: the standard grammar, stated once as
+   Algebra data (Std.decl), and the .wqg file format.  Three layers:
 
-   - equivalence: Std_decl.grammar — and the grammar loaded back from
-     examples/grammars/std.wqg — parse the whole equivalence corpus
-     byte-identically to Std.grammar (instance ids included, via
-     Test_parser_equiv.check_equivalent);
+   - the parse golden: Std.grammar — and the grammar loaded back from
+     examples/grammars/std.wqg — render golden/std_parse.txt byte for
+     byte (every observable of the equivalence check, instance ids and
+     hinted guard counts included, plus each production's hints);
    - round-trip: dump → parse → dump is byte-identical, and the
-     committed std.wqg is exactly [Loader.dump Std_decl.decl];
+     committed std.wqg is exactly [Loader.dump Std.decl];
    - rejection: malformed grammar files fail to load with precise
      file:line:col diagnostics, never a late crash. *)
 
@@ -16,10 +14,7 @@ module G = Wqi_grammar
 module Algebra = G.Algebra
 module Loader = G.Loader
 module Engine = Wqi_parser.Engine
-module Generator = Wqi_corpus.Generator
-module Tokenize = Wqi_token.Tokenize
 module Std = Wqi_stdgrammar.Std
-module Std_decl = Wqi_stdgrammar.Std_decl
 module Extractor = Wqi_core.Extractor
 
 let check_string = Alcotest.(check string)
@@ -35,69 +30,88 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let instantiated decl =
-  match Algebra.instantiate Std_decl.env decl with
+  match Algebra.instantiate Std.env decl with
   | Ok g -> g
   | Error msgs -> Alcotest.failf "instantiate: %s" (String.concat "; " msgs)
 
 let loaded path =
-  match Loader.load ~env:Std_decl.env path with
+  match Loader.load ~env:Std.env path with
   | Ok decl -> decl
   | Error e -> Alcotest.failf "load %s: %s" path (Loader.error_to_string e)
 
-(* --- equivalence: declarative twin = compiled closures --- *)
+(* --- the parse golden --- *)
 
-let check_corpus_equivalent ctx grammar =
-  let reference = Std.grammar in
-  List.iter
-    (fun (s : Generator.source) ->
-       let tokens = Tokenize.of_html s.Generator.html in
-       let decl_result = Engine.parse grammar tokens in
-       let ref_result = Engine.parse reference tokens in
-       Test_parser_equiv.check_equivalent
-         (ctx ^ "/" ^ s.Generator.id)
-         decl_result ref_result)
-    (Test_parser_equiv.corpus_sources ())
+let std_parse = "golden/std_parse.txt"
 
-let test_decl_equivalence () =
-  check_corpus_equivalent "decl" Std_decl.grammar
-
-let test_loaded_equivalence () =
-  (* The full loop the file format licenses: committed bytes → loader →
-     interpreter → parser, byte-identical to the compiled grammar. *)
-  check_corpus_equivalent "loaded" (instantiated (loaded std_wqg))
-
-let test_decl_hints_match_std () =
-  (* Hints are auto-derived from the top-level positive relational
-     conjuncts of each declarative guard; they must reproduce Std's
-     hand-written hints production by production (they are why the
-     declarative grammar is as fast, not just as correct). *)
-  let hints_by_name (g : G.Grammar.t) =
-    List.map
-      (fun (p : G.Production.t) ->
-         ( p.G.Production.name,
-           List.map (Fmt.str "%a" G.Hint.pp) p.G.Production.hints ))
-      g.G.Grammar.productions
+(* [grammar] must render the committed parse golden byte for byte.  The
+   first differing line is reported on its own, so a failure names the
+   production or corpus source that moved. *)
+let check_parse_golden ctx grammar =
+  let expected = read_file std_parse in
+  let actual = Std_golden.render grammar in
+  let rec first_diff i = function
+    | e :: es, a :: as_ ->
+      if e = a then first_diff (i + 1) (es, as_)
+      else check_string (Printf.sprintf "%s: std_parse.txt line %d" ctx i) e a
+    | _ -> ()
   in
-  List.iter2
-    (fun (name_std, hints_std) (name_decl, hints_decl) ->
-       check_string "production order" name_std name_decl;
-       Alcotest.(check (list string)) (name_std ^ ": hints") hints_std
-         hints_decl)
-    (hints_by_name Std.grammar)
-    (hints_by_name Std_decl.grammar)
+  first_diff 1
+    (String.split_on_char '\n' expected, String.split_on_char '\n' actual);
+  check_string (ctx ^ ": std_parse.txt bytes") expected actual
+
+(* Std.grammar is checked against the golden a line at a time, so a
+   regression names every corpus source whose parse moved, not only the
+   first: one case for the production lines and the file's shape (line
+   count, final newline), then one case per corpus source.  Together the
+   cases pin the file byte for byte. *)
+let golden_lines = lazy (String.split_on_char '\n' (read_file std_parse))
+let std_productions = Std.grammar.G.Grammar.productions
+let golden_sources = Std_golden.corpus_sources ()
+
+let golden_line i =
+  match List.nth_opt (Lazy.force golden_lines) i with
+  | Some line -> line
+  | None -> Alcotest.failf "std_parse.txt has no line %d" (i + 1)
+
+let test_std_golden_productions () =
+  let lines = Lazy.force golden_lines in
+  let n = List.length std_productions in
+  Alcotest.(check int) "std_parse.txt lines"
+    (n + List.length golden_sources + 1)
+    (List.length lines);
+  check_string "std_parse.txt ends with a newline" ""
+    (List.nth lines (List.length lines - 1));
+  List.iteri
+    (fun i p ->
+       check_string
+         (Printf.sprintf "std_parse.txt line %d" (i + 1))
+         (golden_line i) (Std_golden.production_line p))
+    std_productions
+
+let test_std_golden_source i (s : Wqi_corpus.Generator.source) () =
+  let line = List.length std_productions + i in
+  check_string
+    (Printf.sprintf "std_parse.txt line %d" (line + 1))
+    (golden_line line)
+    (Std_golden.source_line Std.grammar s)
+
+let test_loaded_golden () =
+  (* The full loop the file format licenses: committed bytes → loader →
+     interpreter → parser, byte-identical to the built-in grammar. *)
+  check_parse_golden "std.wqg" (instantiated (loaded std_wqg))
 
 (* --- round-trips and the committed golden --- *)
 
 let test_dump_parse_dump () =
-  let dumped = Loader.dump Std_decl.decl in
-  match Loader.parse ~env:Std_decl.env ~file:"<dump>" dumped with
+  let dumped = Loader.dump Std.decl in
+  match Loader.parse ~env:Std.env ~file:"<dump>" dumped with
   | Error e -> Alcotest.failf "reparse: %s" (Loader.error_to_string e)
   | Ok decl -> check_string "dump/parse/dump" dumped (Loader.dump decl)
 
 let test_committed_std_is_golden () =
   (* examples/grammars/std.wqg is `wqi_grammar_dump --export`, committed;
-     regenerate it whenever Std_decl changes. *)
-  check_string "std.wqg bytes" (Loader.dump Std_decl.decl) (read_file std_wqg)
+     regenerate it whenever Std.decl changes. *)
+  check_string "std.wqg bytes" (Loader.dump Std.decl) (read_file std_wqg)
 
 let test_variant_roundtrips () =
   List.iter
@@ -105,7 +119,7 @@ let test_variant_roundtrips () =
        let path = Filename.concat grammars_dir file in
        let decl = loaded path in
        let dumped = Loader.dump decl in
-       (match Loader.parse ~env:Std_decl.env ~file dumped with
+       (match Loader.parse ~env:Std.env ~file dumped with
         | Error e ->
           Alcotest.failf "%s redump: %s" file (Loader.error_to_string e)
         | Ok decl' ->
@@ -148,7 +162,7 @@ let header =
    (start QI))\n"
 
 let expect_error ctx text expected =
-  match Loader.parse ~env:Std_decl.env ~file:"bad.wqg" text with
+  match Loader.parse ~env:Std.env ~file:"bad.wqg" text with
   | Ok _ -> Alcotest.failf "%s: expected a load error" ctx
   | Error e -> check_string ctx expected (Loader.error_to_string e)
 
@@ -212,25 +226,28 @@ let test_reject_self_relation () =
     "bad.wqg:2:61: left-of relates slot 1 to itself"
 
 let suite =
-  [ ("declarative std = compiled std on the corpus", `Quick,
-     test_decl_equivalence);
-    ("loaded std.wqg = compiled std on the corpus", `Quick,
-     test_loaded_equivalence);
-    ("derived hints reproduce the hand-written hints", `Quick,
-     test_decl_hints_match_std);
-    ("dump/parse/dump is byte-identical", `Quick, test_dump_parse_dump);
-    ("committed std.wqg matches --export", `Quick,
-     test_committed_std_is_golden);
-    ("variant files are canonical and instantiate", `Quick,
-     test_variant_roundtrips);
-    ("variant grammars drive the extractor", `Quick, test_variants_extract);
-    ("reject: unknown symbol", `Quick, test_reject_unknown_symbol);
-    ("reject: slot out of arity", `Quick, test_reject_arity_mismatch);
-    ("reject: cyclic productions", `Quick, test_reject_cycle);
-    ("reject: malformed predicate", `Quick, test_reject_malformed_predicate);
-    ("reject: unknown text class", `Quick, test_reject_unknown_text_class);
-    ("reject: duplicate production name", `Quick,
-     test_reject_duplicate_production);
-    ("reject: start not a head", `Quick, test_reject_non_head_start);
-    ("reject: unsupported format", `Quick, test_reject_bad_format);
-    ("reject: self-relation", `Quick, test_reject_self_relation) ]
+  [ ("Std.grammar matches the parse golden: productions", `Quick,
+     test_std_golden_productions) ]
+  @ List.mapi
+      (fun i (s : Wqi_corpus.Generator.source) ->
+         ( "Std.grammar matches the parse golden: " ^ s.Wqi_corpus.Generator.id,
+           `Quick,
+           test_std_golden_source i s ))
+      golden_sources
+  @ [ ("loaded std.wqg matches the parse golden", `Quick, test_loaded_golden);
+      ("dump/parse/dump is byte-identical", `Quick, test_dump_parse_dump);
+      ("committed std.wqg matches --export", `Quick,
+       test_committed_std_is_golden);
+      ("variant files are canonical and instantiate", `Quick,
+       test_variant_roundtrips);
+      ("variant grammars drive the extractor", `Quick, test_variants_extract);
+      ("reject: unknown symbol", `Quick, test_reject_unknown_symbol);
+      ("reject: slot out of arity", `Quick, test_reject_arity_mismatch);
+      ("reject: cyclic productions", `Quick, test_reject_cycle);
+      ("reject: malformed predicate", `Quick, test_reject_malformed_predicate);
+      ("reject: unknown text class", `Quick, test_reject_unknown_text_class);
+      ("reject: duplicate production name", `Quick,
+       test_reject_duplicate_production);
+      ("reject: start not a head", `Quick, test_reject_non_head_start);
+      ("reject: unsupported format", `Quick, test_reject_bad_format);
+      ("reject: self-relation", `Quick, test_reject_self_relation) ]

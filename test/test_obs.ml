@@ -23,16 +23,7 @@ let contains haystack needle =
 
 (* Same corpus as the parser equivalence suite: 60 generated sources
    across the three domains, both complexity levels, with noise. *)
-let corpus_sources () =
-  let g = Wqi_corpus.Prng.create 0xE9015L in
-  let domains = Wqi_corpus.Vocabulary.core_three in
-  List.init 60 (fun i ->
-      Wqi_corpus.Generator.generate g
-        ~id:(Printf.sprintf "equiv-%02d" i)
-        ~domain:(List.nth domains (i mod 3))
-        ~complexity:(if i mod 2 = 0 then `Simple else `Rich)
-        ~oog_prob:(if i mod 5 = 0 then 0.1 else 0.)
-        ())
+let corpus_sources = Std_golden.corpus_sources
 
 let test_tracing_observational () =
   let config = Extractor.Config.default in

@@ -12,8 +12,6 @@
    every observable unchanged. *)
 
 module G = Wqi_grammar
-module Symbol = G.Symbol
-module Instance = G.Instance
 module Bitset = G.Bitset
 module Engine = Wqi_parser.Engine
 module Generator = Wqi_corpus.Generator
@@ -25,21 +23,9 @@ let check_int = Alcotest.(check int)
 let naive options = { options with Engine.semi_naive = false }
 let unhinted options = { options with Engine.use_hints = false }
 
-let ids instances = List.map (fun (i : Instance.t) -> i.Instance.id) instances
-
-let tree_strings instances =
-  List.map (Fmt.str "%a" Instance.pp_tree) instances
-
-let model_strings (result : Engine.result) =
-  List.concat_map
-    (fun tree ->
-       List.map
-         (fun (c, toks) ->
-            Fmt.str "%a@%a" Wqi_model.Condition.pp c
-              Fmt.(list ~sep:(any ",") int)
-              toks)
-         (Instance.collect_conditions tree))
-    result.Engine.maximal
+let ids = Std_golden.ids
+let tree_strings = Std_golden.tree_strings
+let model_strings = Std_golden.model_strings
 
 let check_equivalent ctx (fast : Engine.result) (slow : Engine.result) =
   let check_list what = Alcotest.(check (list string)) (ctx ^ ": " ^ what) in
@@ -81,17 +67,9 @@ let parse_both ?(options = Engine.default_options) grammar tokens =
   (hinted, slow)
 
 (* 60 generated sources across the three domains, both complexity
-   levels, with a sprinkle of out-of-grammar noise. *)
-let corpus_sources () =
-  let g = Wqi_corpus.Prng.create 0xE9015L in
-  let domains = Wqi_corpus.Vocabulary.core_three in
-  List.init 60 (fun i ->
-      Generator.generate g
-        ~id:(Printf.sprintf "equiv-%02d" i)
-        ~domain:(List.nth domains (i mod 3))
-        ~complexity:(if i mod 2 = 0 then `Simple else `Rich)
-        ~oog_prob:(if i mod 5 = 0 then 0.1 else 0.)
-        ())
+   levels, with a sprinkle of out-of-grammar noise — the corpus the
+   standard grammar's parse golden is rendered over. *)
+let corpus_sources = Std_golden.corpus_sources
 
 let test_corpus_equivalence () =
   let grammar = Wqi_stdgrammar.Std.grammar in

@@ -120,6 +120,26 @@ let test_schedule_builds () =
     (List.length s.Wqi_grammar.Schedule.order
      = List.length (Grammar.nonterminals Std.grammar))
 
+(* The pack identity and the spec bytes it feeds are the cache and
+   store key contract: a rename would re-key every cache entry and
+   orphan every store entry without any other test failing. *)
+let test_identity_pinned () =
+  let pack = Std.compiled in
+  Alcotest.(check string) "name" "std" pack.Wqi_parser.Engine.name;
+  Alcotest.(check string) "version" "1" pack.Wqi_parser.Engine.version;
+  let config = Wqi_core.Extractor.Config.default in
+  check_bool "default config runs Std.compiled" true
+    (config.Wqi_core.Extractor.Config.grammar == pack);
+  let g = config.Wqi_core.Extractor.Config.grammar in
+  Alcotest.(check string) "default Key.spec"
+    "v2|grammar=std@1|name=form.html|budget={}"
+    (Wqi_store.Key.spec ~grammar_name:g.Wqi_parser.Engine.name
+       ~grammar_version:g.Wqi_parser.Engine.version ~name:"form.html"
+       config.Wqi_core.Extractor.Config.budget);
+  Alcotest.(check (list int)) "terminals/nonterminals/productions/prefs"
+    [ 7; 33; 73; 75 ]
+    (let t, n, p, r = Grammar.stats Std.grammar in [ t; n; p; r ])
+
 (* --- one extraction check per pattern --- *)
 
 let attribute_for pattern =
@@ -267,6 +287,7 @@ let suite =
     ("grammar: validates", `Quick, test_grammar_valid);
     ("grammar: paper scale", `Quick, test_grammar_scale);
     ("grammar: schedulable", `Quick, test_schedule_builds);
+    ("grammar: identity pinned", `Quick, test_identity_pinned);
     ("amazon interface", `Quick, test_amazon_interface);
     ("column-wise recovered", `Quick, test_column_wise_recovered);
     ("separated panels partial parses", `Quick, test_separated_panels_partial_parses) ]
