@@ -432,7 +432,14 @@ let instantiate env (g : grammar) =
                ~resolve_symbol:(resolve_symbol_total ~ctx)
                ~splitters:env.splitters r.r_kind
            in
-           Preference.make ~name:r.r_name ~winner ~loser ?conflict ?wins ()
+           let kind =
+             match r.r_kind with
+             | K_subsume -> Preference.Subsume
+             | K_beats | K_closest_unit | K_clean_attr _ | K_assoc _ ->
+               Preference.Opaque
+           in
+           Preference.make ~name:r.r_name ~winner ~loser ?conflict ?wins
+             ~kind ()
          with
          | pref -> Some pref
          | exception Err m ->

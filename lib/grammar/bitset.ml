@@ -171,6 +171,18 @@ let elements t =
      done);
   !acc
 
+let min_elt t =
+  let rec low bits i = if bits land (1 lsl i) <> 0 then i else low bits (i + 1) in
+  match t with
+  | Small { bits; _ } -> if bits = 0 then None else Some (low bits 0)
+  | Big { words; _ } ->
+    let rec go w =
+      if w = Array.length words then None
+      else if words.(w) = 0 then go (w + 1)
+      else Some ((w * bits_per_word) + low words.(w) 0)
+    in
+    go 0
+
 let of_list n items = List.fold_left add (empty n) items
 
 let union_all n = List.fold_left union (empty n)

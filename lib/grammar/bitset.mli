@@ -49,6 +49,10 @@ val strict_subset : t -> t -> bool
 
 val equal : t -> t -> bool
 val elements : t -> int list
+
+val min_elt : t -> int option
+(** The smallest member, [None] for the empty set. *)
+
 val of_list : int -> int list -> t
 val union_all : int -> t list -> t
 

@@ -86,11 +86,17 @@ let rollback ?(on_kill = fun _ -> ()) inst =
 let conflicts a b = not (Bitset.disjoint a.cover b.cover)
 
 let is_descendant d ~of_ =
-  (* Quick rejection: a descendant's cover is contained in the ancestor's. *)
-  Bitset.subset d.cover of_.cover
+  (* Children are created before their parents, so every instance below
+     [a] has a smaller id than [a]: [d] cannot sit below an instance
+     whose id does not exceed its own.  That rejects in O(1) at the top
+     and cuts every subtree built before [d] out of the walk.  The cover
+     test rejects the rest cheaply: a descendant's cover is contained in
+     the ancestor's. *)
+  d.id < of_.id
+  && Bitset.subset d.cover of_.cover
   &&
   let rec go a =
-    List.exists (fun c -> c.id = d.id || go c) a.children
+    List.exists (fun c -> c.id = d.id || (c.id > d.id && go c)) a.children
   in
   go of_
 

@@ -75,7 +75,12 @@ val is_descendant : t -> of_:t -> bool
 (** [is_descendant d ~of_:a]: [d] occurs in [a]'s derivation (strictly
     below [a]).  Preference enforcement must spare such losers: the
     winner is built from them (e.g. a length-3 RBList contains the
-    length-2 RBList it subsumes). *)
+    length-2 RBList it subsumes).
+
+    Relies on ids growing with creation order, as the parser assigns
+    them: a child always has a smaller id than its parents.  So
+    [d.id >= a.id] answers [false] in O(1), and the walk never descends
+    into a subtree whose root is older than [d]. *)
 
 val subsumes : t -> t -> bool
 (** [subsumes a b]: [a]'s cover is a superset of [b]'s. *)

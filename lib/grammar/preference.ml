@@ -1,14 +1,17 @@
+type kind = Opaque | Subsume
+
 type t = {
   name : string;
   winner : Symbol.t;
   loser : Symbol.t;
   conflict : Instance.t -> Instance.t -> bool;
   wins : Instance.t -> Instance.t -> bool;
+  kind : kind;
 }
 
 let make ~name ~winner ~loser ?(conflict = fun _ _ -> true)
-    ?(wins = fun _ _ -> true) () =
-  { name; winner; loser; conflict; wins }
+    ?(wins = fun _ _ -> true) ?(kind = Opaque) () =
+  { name; winner; loser; conflict; wins; kind }
 
 let same_symbol r = Symbol.equal r.winner r.loser
 

@@ -8,6 +8,17 @@
     winning criterion; R2 ("the longer of two subsuming RBLists wins")
     is conditional. *)
 
+(** What the parser may assume about a preference's closures. *)
+type kind =
+  | Opaque  (** nothing: [conflict] and [wins] are arbitrary *)
+  | Subsume
+      (** the algebra's [K_subsume]: [conflict v1 v2] is "[v1]'s cover
+          contains [v2]'s" and [wins v1 v2] is "[v1] covers more
+          tokens", so together they hold exactly when [v2]'s cover is a
+          proper subset of [v1]'s.  The parser may then test that on
+          raw cover words first, and prune such a same-symbol
+          preference inside the symbol's fix-point. *)
+
 type t = {
   name : string;
   winner : Symbol.t;   (** type of [v1] *)
@@ -17,6 +28,7 @@ type t = {
           include cover intersection; the parser tests that first. *)
   wins : Instance.t -> Instance.t -> bool;
       (** The criterion W for picking [v1] as winner. *)
+  kind : kind;
 }
 
 val make :
@@ -25,10 +37,13 @@ val make :
   loser:Symbol.t ->
   ?conflict:(Instance.t -> Instance.t -> bool) ->
   ?wins:(Instance.t -> Instance.t -> bool) ->
+  ?kind:kind ->
   unit ->
   t
 (** [conflict] defaults to "covers intersect" (always true given the
-    parser's pre-test); [wins] defaults to unconditional. *)
+    parser's pre-test); [wins] defaults to unconditional; [kind] to
+    [Opaque].  A caller passing [~kind:Subsume] must pass the closures
+    that kind describes. *)
 
 val same_symbol : t -> bool
 (** Winner and loser types coincide (e.g. R2 on RBList). *)

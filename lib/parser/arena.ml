@@ -59,6 +59,19 @@ type t = {
   mutable pr_have_x : bool;
   mutable pr_x_lo : int;
   mutable pr_x_hi : int;
+  (* Round-level pruning scratch (see [Engine.instantiate]), valid
+     during one symbol's fix-point: the symbol, the column length when
+     the current round began, the indices of the column's live entries
+     from earlier rounds (ascending), and per column entry its cover
+     size and spine links (see [Engine.link_spines]). *)
+  mutable rp_sid : int;
+  mutable rp_mark : int;
+  mutable rp_live : int array;
+  mutable rp_nlive : int;
+  mutable rp_parent : int array;
+  mutable rp_jump : int array;
+  mutable rp_depth : int array;
+  mutable rp_card : int array;
 }
 
 (* The filler never participates in parsing: it exists only so array
@@ -182,7 +195,15 @@ let create (tables : Dispatch.t) =
     pr_y_hi = 0;
     pr_have_x = false;
     pr_x_lo = 0;
-    pr_x_hi = 0 }
+    pr_x_hi = 0;
+    rp_sid = 0;
+    rp_mark = 0;
+    rp_live = Array.make 64 0;
+    rp_nlive = 0;
+    rp_parent = Array.make 64 0;
+    rp_jump = Array.make 64 0;
+    rp_depth = Array.make 64 0;
+    rp_card = Array.make 64 0 }
 
 (* Bulk reset: clear lengths, drop every boxed-instance reference (a
    reused slot must not pin last parse's trees), zero the watermarks and

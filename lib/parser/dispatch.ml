@@ -55,6 +55,10 @@ type t = {
   ids : (Symbol.t, int) Hashtbl.t;
   prods : fprod array;
   by_head : int array array;  (* symbol id -> fprod ordinals, grammar order *)
+  round_prune : G.Preference.t list array;
+      (* symbol id -> the preferences the engine applies after every
+         fix-point round of that symbol, grammar order; see
+         [round_prunable] *)
   marks_len : int;
   deltas_len : int;
   max_arity : int;
@@ -84,6 +88,30 @@ let pack_hint (h : Hint.t) =
     | Hint.Bottom_aligned tol -> (tag_bot_al, tol)
   in
   (max h.a h.b, tag lor (other lsl 4), param)
+
+(* A preference is pruned round by round inside its symbol's fix-point
+   when it is a [Subsume] preference of a symbol S against itself and S
+   has exactly one recursive production, of the form S -> S X.  Then
+   every S instance is a chain: a base instance extended by one X at a
+   time, whose S-descendants are exactly its prefixes.  Lists that grow
+   in two directions (two recursive productions, as CBList and RBList
+   have) are left to the end-of-fix-point enforcement; see
+   [Engine.instantiate] for why. *)
+let round_prunable (g : G.Grammar.t) (r : G.Preference.t) =
+  r.kind = G.Preference.Subsume
+  && G.Preference.same_symbol r
+  &&
+  let s = r.winner in
+  let recursive =
+    List.filter
+      (fun (p : G.Production.t) ->
+         Symbol.equal p.head s && List.exists (Symbol.equal s) p.components)
+      g.productions
+  in
+  match recursive with
+  | [ { G.Production.components = [ s0; x ]; _ } ] ->
+    Symbol.equal s0 s && not (Symbol.equal x s)
+  | _ -> false
 
 let build (g : G.Grammar.t) =
   let ids = Hashtbl.create 64 in
@@ -166,11 +194,20 @@ let build (g : G.Grammar.t) =
   let max_arity =
     Array.fold_left (fun acc fp -> max acc fp.arity) 1 prods
   in
+  let round_prune = Array.make nsyms [] in
+  List.iter
+    (fun (r : G.Preference.t) ->
+       if round_prunable g r then begin
+         let sid = Hashtbl.find ids r.winner in
+         round_prune.(sid) <- r :: round_prune.(sid)
+       end)
+    (List.rev g.preferences);
   { syms;
     nsyms;
     ids;
     prods;
     by_head;
+    round_prune;
     marks_len = max 1 !mark_base;
     deltas_len = max 1 !delta_base;
     max_arity }

@@ -646,12 +646,341 @@ let apply_production_naive st (fp : Dispatch.fprod) =
   else assign 0 (Bitset.empty st.universe);
   !added
 
+(* ------------------------------------------------------------------ *)
+(* Preference enforcement                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Above this many winner×loser pairs, [enforce] buckets the winners by
+   covered token so each loser only meets the winners it can actually
+   conflict with.  Bucketing pays only when covers are sparse relative
+   to the universe — many-row interfaces, where most winner/loser pairs
+   share no token.  On narrow universes nearly every pair conflicts, so
+   bucketing would reproduce the quadratic scan with allocation on top;
+   word-cover universes take the column scan below instead. *)
+let enforce_bucket_min_pairs = 2048
+
+(* [v1] beats [v2] under [r], descendants aside: the preference's
+   conflict and winning criteria on two live, distinct, overlapping
+   instances. *)
+let beats (r : G.Preference.t) (v1 : Instance.t) (v2 : Instance.t) =
+  v1.alive && v2.alive && v1.id <> v2.id
+  && Instance.conflicts v1 v2
+  && r.conflict v1 v2 && r.wins v1 v2
+
+let kill_loser st (v2 : Instance.t) =
+  let killed = Instance.rollback ~on_kill:st.on_kill v2 in
+  st.pruned <- st.pruned + 1;
+  st.rolled_back <- st.rolled_back + (killed - 1)
+
+let try_kill st r v1 v2 =
+  if beats r v1 v2 && not (Instance.is_descendant v2 ~of_:v1) then
+    kill_loser st v2
+
+(* Enforce one preference over the current instances (procedure
+   [enforce]).  Enforcement only ever kills instances, so scanning the
+   columns with per-pair [alive] re-checks is equivalent to
+   re-filtering the store after every rollback — a rollback can
+   invalidate entries but never add new ones.  Losers are visited in
+   creation order, winners in creation order within each loser, so
+   kills (and their order) are identical across engine variants.
+
+   The word-cover path pre-filters pairs by cover-word intersection
+   straight off the columns: skipped pairs satisfy
+   [not (Instance.conflicts v1 v2)], which the reference scan would
+   have rejected anyway.  A [Subsume] preference kills only losers whose
+   cover is a proper subset of the winner's, so its word screen is that
+   test, and the bucketed path only needs the winners holding the
+   loser's smallest token. *)
+let enforce st (r : G.Preference.t) =
+  let try_kill = try_kill st r in
+  let wsid = Dispatch.sym_id st.tables r.winner in
+  let lsid = Dispatch.sym_id st.tables r.loser in
+  if st.small then begin
+    let wcol = st.arena.Arena.cols.(wsid) in
+    let lcol = st.arena.Arena.cols.(lsid) in
+    let wlen = wcol.Arena.len and llen = lcol.Arena.len in
+    if wlen > 0 then begin
+      let winsts = wcol.Arena.inst and wbits = wcol.Arena.bits in
+      let linsts = lcol.Arena.inst and lbits = lcol.Arena.bits in
+      let subsume = r.kind = G.Preference.Subsume in
+      for li = 0 to llen - 1 do
+        let v2 = Array.unsafe_get linsts li in
+        if v2.Instance.alive then begin
+          probe st;
+          let lb = Array.unsafe_get lbits li in
+          for wi = 0 to wlen - 1 do
+            let wb = Array.unsafe_get wbits wi in
+            if
+              if subsume then lb land lnot wb = 0 && lb <> wb
+              else wb land lb <> 0
+            then try_kill (Array.unsafe_get winsts wi) v2
+          done
+        end
+      done
+    end
+  end
+  else begin
+    (* Boxed covers: snapshot both sides (equivalent, see above), and
+       bucket the winners by covered token for large fronts so each
+       loser scans the merged (creation-ordered, deduplicated) buckets
+       of its own tokens instead of the full winner list. *)
+    let winners = live_instances st wsid in
+    let losers = live_instances st lsid in
+    let nw = List.length winners in
+    if nw = 0 || nw * List.length losers < enforce_bucket_min_pairs then
+      List.iter
+        (fun (v2 : Instance.t) ->
+           probe st;
+           if v2.alive then
+             List.iter (fun (v1 : Instance.t) -> try_kill v1 v2) winners)
+        losers
+    else begin
+      let warr = Array.of_list winners in
+      let buckets = Array.make st.universe [] in
+      Array.iteri
+        (fun ord (w : Instance.t) ->
+           List.iter
+             (fun t -> buckets.(t) <- ord :: buckets.(t))
+             (Bitset.elements w.cover))
+        warr;
+      (* Per-loser dedup by marking winner ordinals: each bucket entry
+         is visited once, and only the (usually few) marked ordinals are
+         sorted back into creation order — never the full winner list. *)
+      let marked = Bytes.make nw '\000' in
+      let candidate_tokens (v2 : Instance.t) =
+        match r.kind with
+        | G.Preference.Subsume -> Option.to_list (Bitset.min_elt v2.cover)
+        | G.Preference.Opaque -> Bitset.elements v2.cover
+      in
+      List.iter
+        (fun (v2 : Instance.t) ->
+           probe st;
+           if v2.alive then begin
+             let touched = ref [] in
+             List.iter
+               (fun t ->
+                  List.iter
+                    (fun ord ->
+                       if Bytes.unsafe_get marked ord = '\000' then begin
+                         Bytes.unsafe_set marked ord '\001';
+                         touched := ord :: !touched
+                       end)
+                    buckets.(t))
+               (candidate_tokens v2);
+             let cands = List.sort Int.compare !touched in
+             List.iter
+               (fun ord ->
+                  Bytes.unsafe_set marked ord '\000';
+                  try_kill (Array.unsafe_get warr ord) v2)
+               cands
+           end)
+        losers
+    end
+  end
+
+(* Rollback annotation: one span per enforcement that actually killed
+   something, naming the preference and its kill counts.  Silent
+   enforcements (no conflict on the current front) are not recorded —
+   a trace shows where trees died, not every scan. *)
+let traced_kills kill st (r : G.Preference.t) =
+  match st.trace with
+  | None -> kill st r
+  | Some _ ->
+    let t0 = Budget.now_s () in
+    let pruned0 = st.pruned and rolled0 = st.rolled_back in
+    kill st r;
+    if st.pruned > pruned0 || st.rolled_back > rolled0 then
+      Trace.span st.trace ~cat:"parser.enforce" r.G.Preference.name ~t0
+        ~t1:(Budget.now_s ())
+        ~args:
+          [ ("pruned", Trace.Int (st.pruned - pruned0));
+            ("rolled_back", Trace.Int (st.rolled_back - rolled0)) ]
+
+let enforce_traced st r = traced_kills enforce st r
+
+(* ------------------------------------------------------------------ *)
+(* Round-level pruning                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Spine links.  Inside a chain symbol's fix-point the S instances
+   below an S instance are exactly its spine — the S child of its
+   recursive production, that instance's S child, and so on down to a
+   base instance — because every X and base instance it is built from
+   predates the fix-point (see [instantiate]).  So "v2 lies below v1"
+   is "v1's spine reaches v2", which skew-binary jump pointers
+   (Myers 1983) answer in O(log depth) steps, where
+   [Instance.is_descendant] walks the whole spine: on a 400-row ladder
+   that walk dominated the parse.  Links are set once per entry, in
+   creation order, so a parent is always linked before its children. *)
+let link_spines (a : Arena.t) ~from =
+  let sid = a.Arena.rp_sid in
+  let col = a.Arena.cols.(sid) in
+  let len = col.Arena.len in
+  if len > Array.length a.Arena.rp_depth then begin
+    let grow arr =
+      let bigger = Array.make (max len (2 * Array.length arr)) 0 in
+      Array.blit arr 0 bigger 0 from;
+      bigger
+    in
+    a.Arena.rp_parent <- grow a.Arena.rp_parent;
+    a.Arena.rp_jump <- grow a.Arena.rp_jump;
+    a.Arena.rp_depth <- grow a.Arena.rp_depth;
+    a.Arena.rp_card <- grow a.Arena.rp_card
+  end;
+  let parent = a.Arena.rp_parent and jump = a.Arena.rp_jump in
+  let depth = a.Arena.rp_depth in
+  for i = from to len - 1 do
+    let inst = Array.unsafe_get col.Arena.inst i in
+    a.Arena.rp_card.(i) <- Bitset.cardinal inst.Instance.cover;
+    match inst.Instance.children with
+    | c :: _ when a.Arena.id2col.(c.Instance.id) = sid ->
+      let p = a.Arena.id2idx.(c.Instance.id) in
+      let j = jump.(p) in
+      parent.(i) <- p;
+      depth.(i) <- depth.(p) + 1;
+      jump.(i) <-
+        (if depth.(p) - depth.(j) = depth.(j) - depth.(jump.(j)) then jump.(j)
+         else p)
+    | _ ->
+      parent.(i) <- i;
+      jump.(i) <- i;
+      depth.(i) <- 0
+  done
+
+let rec spine_climb parent jump depth ~target d w =
+  if depth.(w) <= d then w = target
+  else if depth.(jump.(w)) >= d then
+    spine_climb parent jump depth ~target d jump.(w)
+  else spine_climb parent jump depth ~target d parent.(w)
+
+(* Column entry [li] lies strictly below entry [wi]. *)
+let below_on_spine (a : Arena.t) li wi =
+  li <> wi
+  && spine_climb a.Arena.rp_parent a.Arena.rp_jump a.Arena.rp_depth
+       ~target:li a.Arena.rp_depth.(li) wi
+
+(* One round's share of a round-prunable preference (see
+   [Dispatch.round_prunable] and [instantiate]): the pairs of the
+   symbol's column that contain at least one entry created this round,
+   i.e. at or past [rp_mark].  Every other pair was checked by an
+   earlier round, and a pair cannot change its verdict since: [wins] and
+   [conflict] are pure and kills only remove instances.  So this equals
+   running [enforce] after every round, without rescanning.
+
+   Losers in creation order — the earlier rounds' live entries, then
+   this round's — and, within each loser, winners in creation order:
+   the kill order of [enforce].  Old losers need only meet new winners.
+   [Subsume] means a kill needs the loser's cover to be a proper subset
+   of the winner's, so that test screens the pair before [beats] looks
+   at the instances: on cover words, or by cover size first on boxed
+   covers.  The spine links stand in for [Instance.is_descendant]. *)
+let prune_round st (r : G.Preference.t) =
+  let a = st.arena in
+  let col = a.Arena.cols.(a.Arena.rp_sid) in
+  let mark = a.Arena.rp_mark and len = col.Arena.len in
+  let live = a.Arena.rp_live and nold = a.Arena.rp_nlive in
+  let insts = col.Arena.inst and bits = col.Arena.bits in
+  let alive = col.Arena.alive in
+  let card = a.Arena.rp_card in
+  let visit li wi =
+    if Bytes.unsafe_get alive wi <> '\000' then begin
+      let v1 = Array.unsafe_get insts wi and v2 = Array.unsafe_get insts li in
+      let lb = Array.unsafe_get bits li and wb = Array.unsafe_get bits wi in
+      if
+        (if st.small then lb land lnot wb = 0 && lb <> wb
+         else
+           Array.unsafe_get card li < Array.unsafe_get card wi
+           && Bitset.subset v2.Instance.cover v1.Instance.cover)
+        && (not (below_on_spine a li wi))
+        && beats r v1 v2
+      then kill_loser st v2
+    end
+  in
+  for k = 0 to nold - 1 do
+    let li = Array.unsafe_get live k in
+    if Bytes.unsafe_get alive li <> '\000' then begin
+      probe st;
+      for wi = mark to len - 1 do visit li wi done
+    end
+  done;
+  for li = mark to len - 1 do
+    if Bytes.unsafe_get alive li <> '\000' then begin
+      probe st;
+      for k = 0 to nold - 1 do visit li (Array.unsafe_get live k) done;
+      for wi = mark to len - 1 do visit li wi done
+    end
+  done
+
+(* Carry the live-entry list over to the next round: drop the entries
+   that died, append this round's survivors.  In place, growing the
+   scratch only when the list outgrows it. *)
+let refresh_live (a : Arena.t) =
+  let col = a.Arena.cols.(a.Arena.rp_sid) in
+  let alive = col.Arena.alive in
+  let mark = a.Arena.rp_mark and len = col.Arena.len in
+  let live = a.Arena.rp_live in
+  let n = ref 0 in
+  for k = 0 to a.Arena.rp_nlive - 1 do
+    let li = Array.unsafe_get live k in
+    if Bytes.unsafe_get alive li <> '\000' then begin
+      Array.unsafe_set live !n li;
+      incr n
+    end
+  done;
+  let need = !n + (len - mark) in
+  if need > Array.length live then begin
+    let bigger = Array.make (max need (2 * Array.length live)) 0 in
+    Array.blit live 0 bigger 0 !n;
+    a.Arena.rp_live <- bigger
+  end;
+  let live = a.Arena.rp_live in
+  for li = mark to len - 1 do
+    if Bytes.unsafe_get alive li <> '\000' then begin
+      Array.unsafe_set live !n li;
+      incr n
+    end
+  done;
+  a.Arena.rp_nlive <- !n;
+  a.Arena.rp_mark <- len
+
 (* Fix-point instantiation of one symbol (procedure [instantiate] of
-   Figure 11).  Under a trace, every fix-point round becomes one span
-   carrying the [stats] deltas it produced — which round of which symbol
-   created, pruned and rolled back how much, and what the guards and the
-   spatial index did for it.  The untraced path is the code that existed
-   before tracing: one [None] branch per round. *)
+   Figure 11).
+
+   Round-level pruning.  The paper prunes just in time: a preference
+   applies as soon as its instances exist.  For a chain symbol S — a
+   [Subsume] preference of S against itself, and a single recursive
+   production S -> S X (see [Dispatch.round_prunable]) — the preference
+   therefore runs after every round of S's fix-point ([prune_round]),
+   not only once the fix-point ends.  A QI built from a subset of the
+   rows then dies before it is extended: a ladder of n rows no longer
+   builds every row subset that the 120 px reach of P-QI-above allows.
+   The end-of-fix-point [enforce] still runs; for a round-pruned
+   preference it finds nothing left to kill.
+
+   Why the maximal trees stay the same.  Only S instances are created
+   inside the fix-point, and the X and base instances they are built
+   from predate it, so the S instances below an S instance are exactly
+   its prefixes.  A round kills v2 for a live v1 that covers strictly
+   more and is not an extension of v2.  The end-of-fix-point pass meets
+   the same pair, since verdicts are pure, and with v1 still alive it
+   kills v2 and rolls back every extension of v2 along with it: pruning
+   in the round kills v2 before those extensions exist, and so never
+   builds them.  The argument needs v1, or another instance that beats
+   v2, to be alive when the end pass reaches v2.  A chain grows on one
+   side only, so an instance that outgrows v1 outgrows v2 the same way.
+   A list that grows two ways (two recursive productions, as CBList and
+   RBList have) loses this: a sub-list killed early may be the one
+   whose extension in the other direction the end pass would have kept,
+   and on generated forms that changed results, so such symbols stay
+   end-only.  For chains the claim is checked, not proved, against the
+   end-only reference on adversarial layouts (test/test_round_prune.ml).
+
+   Under a trace, every fix-point round becomes one span carrying the
+   [stats] deltas it produced — which round of which symbol created,
+   pruned and rolled back how much, and what the guards and the spatial
+   index did for it — and every round-level pass that killed something
+   becomes a [parser.enforce] span inside it.  The untraced path is one
+   [None] branch per round. *)
 let instantiate st sid =
   let prods = st.tables.Dispatch.prods in
   let ords = st.tables.Dispatch.by_head.(sid) in
@@ -660,11 +989,35 @@ let instantiate st sid =
     else if st.small then apply_production_small
     else apply_production_big
   in
+  let round_prefs =
+    if st.options.use_preferences && st.options.use_scheduling then
+      st.tables.Dispatch.round_prune.(sid)
+    else []
+  in
+  let rec prune_round_all = function
+    | [] -> ()
+    | r :: rest ->
+      traced_kills prune_round st r;
+      prune_round_all rest
+  in
+  if round_prefs <> [] then begin
+    let a = st.arena in
+    a.Arena.rp_sid <- sid;
+    a.Arena.rp_mark <- 0;
+    a.Arena.rp_nlive <- 0;
+    link_spines a ~from:0;
+    refresh_live a
+  end;
   let run_round () =
     let progressed = ref false in
     for k = 0 to Array.length ords - 1 do
       if apply st prods.(Array.unsafe_get ords k) then progressed := true
     done;
+    if round_prefs <> [] && !progressed then begin
+      link_spines st.arena ~from:st.arena.Arena.rp_mark;
+      prune_round_all round_prefs;
+      refresh_live st.arena
+    end;
     !progressed
   in
   let sym_name =
@@ -703,137 +1056,6 @@ let instantiate st sid =
     if progressed then loop (round + 1)
   in
   loop 0
-
-(* ------------------------------------------------------------------ *)
-(* Preference enforcement                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Above this many winner×loser pairs, [enforce] buckets the winners by
-   covered token so each loser only meets the winners it can actually
-   conflict with.  Bucketing pays only when covers are sparse relative
-   to the universe — many-row interfaces, where most winner/loser pairs
-   share no token.  On narrow universes nearly every pair conflicts, so
-   bucketing would reproduce the quadratic scan with allocation on top;
-   word-cover universes take the column scan below instead. *)
-let enforce_bucket_min_pairs = 2048
-
-(* Enforce one preference over the current instances (procedure
-   [enforce]).  Enforcement only ever kills instances, so scanning the
-   columns with per-pair [alive] re-checks is equivalent to
-   re-filtering the store after every rollback — a rollback can
-   invalidate entries but never add new ones.  Losers are visited in
-   creation order, winners in creation order within each loser, so
-   kills (and their order) are identical across engine variants.
-
-   The word-cover path pre-filters pairs by cover-word intersection
-   straight off the columns: skipped pairs satisfy
-   [not (Instance.conflicts v1 v2)], which the reference scan would
-   have rejected anyway. *)
-let enforce st (r : G.Preference.t) =
-  let try_kill (v1 : Instance.t) (v2 : Instance.t) =
-    if v1.alive && v2.alive && v1.id <> v2.id
-    && Instance.conflicts v1 v2
-    && r.conflict v1 v2 && r.wins v1 v2
-    && not (Instance.is_descendant v2 ~of_:v1)
-    then begin
-      let killed = Instance.rollback ~on_kill:st.on_kill v2 in
-      st.pruned <- st.pruned + 1;
-      st.rolled_back <- st.rolled_back + (killed - 1)
-    end
-  in
-  let wsid = Dispatch.sym_id st.tables r.winner in
-  let lsid = Dispatch.sym_id st.tables r.loser in
-  if st.small then begin
-    let wcol = st.arena.Arena.cols.(wsid) in
-    let lcol = st.arena.Arena.cols.(lsid) in
-    let wlen = wcol.Arena.len and llen = lcol.Arena.len in
-    if wlen > 0 then begin
-      let winsts = wcol.Arena.inst and wbits = wcol.Arena.bits in
-      let linsts = lcol.Arena.inst and lbits = lcol.Arena.bits in
-      for li = 0 to llen - 1 do
-        let v2 = Array.unsafe_get linsts li in
-        if v2.Instance.alive then begin
-          probe st;
-          let lb = Array.unsafe_get lbits li in
-          for wi = 0 to wlen - 1 do
-            if Array.unsafe_get wbits wi land lb <> 0 then
-              try_kill (Array.unsafe_get winsts wi) v2
-          done
-        end
-      done
-    end
-  end
-  else begin
-    (* Boxed covers: snapshot both sides (equivalent, see above), and
-       bucket the winners by covered token for large fronts so each
-       loser scans the merged (creation-ordered, deduplicated) buckets
-       of its own tokens instead of the full winner list. *)
-    let winners = live_instances st wsid in
-    let losers = live_instances st lsid in
-    let nw = List.length winners in
-    if nw = 0 || nw * List.length losers < enforce_bucket_min_pairs then
-      List.iter
-        (fun (v2 : Instance.t) ->
-           probe st;
-           if v2.alive then
-             List.iter (fun (v1 : Instance.t) -> try_kill v1 v2) winners)
-        losers
-    else begin
-      let warr = Array.of_list winners in
-      let buckets = Array.make st.universe [] in
-      Array.iteri
-        (fun ord (w : Instance.t) ->
-           List.iter
-             (fun t -> buckets.(t) <- ord :: buckets.(t))
-             (Bitset.elements w.cover))
-        warr;
-      (* Per-loser dedup by marking winner ordinals: each bucket entry
-         is visited once, and only the (usually few) marked ordinals are
-         sorted back into creation order — never the full winner list. *)
-      let marked = Bytes.make nw '\000' in
-      List.iter
-        (fun (v2 : Instance.t) ->
-           probe st;
-           if v2.alive then begin
-             let touched = ref [] in
-             List.iter
-               (fun t ->
-                  List.iter
-                    (fun ord ->
-                       if Bytes.unsafe_get marked ord = '\000' then begin
-                         Bytes.unsafe_set marked ord '\001';
-                         touched := ord :: !touched
-                       end)
-                    buckets.(t))
-               (Bitset.elements v2.cover);
-             let cands = List.sort Int.compare !touched in
-             List.iter
-               (fun ord ->
-                  Bytes.unsafe_set marked ord '\000';
-                  try_kill (Array.unsafe_get warr ord) v2)
-               cands
-           end)
-        losers
-    end
-  end
-
-(* Rollback annotation: one span per enforcement that actually killed
-   something, naming the preference and its kill counts.  Silent
-   enforcements (no conflict on the current front) are not recorded —
-   a trace shows where trees died, not every scan. *)
-let enforce_traced st (r : G.Preference.t) =
-  match st.trace with
-  | None -> enforce st r
-  | Some _ ->
-    let t0 = Budget.now_s () in
-    let pruned0 = st.pruned and rolled0 = st.rolled_back in
-    enforce st r;
-    if st.pruned > pruned0 || st.rolled_back > rolled0 then
-      Trace.span st.trace ~cat:"parser.enforce" r.G.Preference.name ~t0
-        ~t1:(Budget.now_s ())
-        ~args:
-          [ ("pruned", Trace.Int (st.pruned - pruned0));
-            ("rolled_back", Trace.Int (st.rolled_back - rolled0)) ]
 
 (* Symbol -> preferences involving it, precomputed once per compile (the
    schedule loop used to re-filter the full preference list for every

@@ -139,6 +139,19 @@ val parse :
 (** [parse g tokens] runs the 2P parser.  The grammar must pass
     [Grammar.validate]; [Invalid_argument] is raised otherwise.
 
+    Preferences are enforced just in time: a symbol's preferences run
+    once its fix-point ends, and a chain symbol's self-subsumption
+    preference also runs after every round of that fix-point
+    (round-level pruning).  A chain symbol S is one whose grammar has a
+    [Preference.Subsume] preference of S against itself and exactly one
+    recursive production, of the form S -> S X — QI and HQI in the
+    standard grammar, not the two-way lists CBList and RBList.  Row
+    subsets then die before they are extended: a uniform ladder no
+    longer builds every row subset its gaps allow, and its instance
+    count grows polynomially, not exponentially, with its rows.  Eligibility is read from the compiled grammar; there
+    is no option for it.  Round-level pruning is off when
+    [use_preferences] or [use_scheduling] is [false].
+
     [gauge] charges one budget unit per instance created (token
     instances included) and one per fix-point round; hot enumeration
     loops additionally probe the deadline.  When any of these trips, the
@@ -151,7 +164,9 @@ val parse :
     [trace] records one span per fix-point round (named after the
     symbol, carrying the {!stats} deltas that round produced), one span
     per preference enforcement that killed instances (the rollback
-    annotation), a [budget_trip] instant when the parse was truncated,
+    annotation; a round-level pass that killed instances gets one too,
+    inside its round's span), a [budget_trip] instant when the parse
+    was truncated,
     and a span around maximal-tree selection.  Tracing is observational
     only: results — instance ids included — are byte-identical with
     [trace] absent. *)

@@ -16,8 +16,8 @@ trap 'rm -rf "$work"' EXIT
 mkdir "$work/docs"
 cp "$fixtures"/*.html "$work/docs/"
 
-# The fixture set includes wide_form.html, whose exhaustive uniform
-# table is intractable ungoverned; the instance cap keeps the run fast
+# The fixture set includes wide_form.html, whose 400-row uniform table
+# takes over a second ungoverned; the instance cap keeps the run fast
 # AND deterministic (unlike a wall-clock deadline), so stdout is
 # reproducible across the two invocations.
 run() { "$batch" --jobs 4 --max-instances 2000 "$work/docs"; }

@@ -117,6 +117,27 @@ let test_instance_descendant () =
   check_bool "unrelated" false
     (Instance.is_descendant (token_inst 2 Token.Text 40) ~of_:top)
 
+(* Ids grow with creation order, so an instance created after [of_]
+   cannot lie below it even when its cover fits inside [of_]'s: the
+   O(1) reject answers without walking.  An older instance with a
+   fitting cover still takes the walk, which finds a deep descendant
+   and rejects a look-alike that is not in the tree. *)
+let test_instance_descendant_by_id () =
+  let a = token_inst 0 Token.Text 0 in
+  let b = token_inst 1 Token.Textbox 20 in
+  let c = token_inst 2 Token.Text 40 in
+  let ab = make_parent 10 [ a; b ] in
+  let look_alike = make_parent 11 [ a; b ] in
+  let abc = make_parent 12 [ ab; c ] in
+  let later = make_parent 13 [ a; b ] in
+  check_bool "newer instance, fitting cover" false
+    (Instance.is_descendant later ~of_:abc);
+  check_bool "newer ancestor is never below" false
+    (Instance.is_descendant abc ~of_:ab);
+  check_bool "older, in the tree" true (Instance.is_descendant a ~of_:abc);
+  check_bool "older, equal cover, not in the tree" false
+    (Instance.is_descendant look_alike ~of_:abc)
+
 let test_instance_rollback () =
   let a = token_inst 0 Token.Text 0 in
   let b = token_inst 1 Token.Textbox 20 in
@@ -361,6 +382,7 @@ let suite =
     ("instance: make", `Quick, test_instance_make);
     ("instance: conflicts/subsumes", `Quick, test_instance_conflicts_subsumes);
     ("instance: descendants", `Quick, test_instance_descendant);
+    ("instance: descendant id reject", `Quick, test_instance_descendant_by_id);
     ("instance: rollback", `Quick, test_instance_rollback);
     ("instance: collect conditions", `Quick, test_collect_conditions);
     ("grammar: validate ok", `Quick, test_validate_ok);

@@ -6,6 +6,7 @@ let () =
       ("grammar", Test_grammar.suite);
       ("parser", Test_parser.suite);
       ("parser-equiv", Test_parser_equiv.suite);
+      ("round-prune", Test_round_prune.suite);
       ("grammar-data", Test_grammar_data.suite);
       ("model", Test_model.suite);
       ("stdgrammar", Test_stdgrammar.suite);
