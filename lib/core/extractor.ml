@@ -139,35 +139,42 @@ let failed ?stage message =
 
 (* Only trees that explain at least one condition count as parses of
    the query interface; a bare atom wrapper covers nothing semantic,
-   so its tokens must still be reported as missing. *)
+   so its tokens must still be reported as missing.  Only the tokens
+   the merger can report — covered by no parse, and not a button or a
+   decorative image, which carry no query semantics — are described. *)
 let merge_trees tokens (result : Engine.result) =
-  let trees =
-    List.filter
-      (fun tree -> Instance.collect_conditions tree <> [])
-      result.Engine.maximal
+  let rec explained = function
+    | [] -> ([], [])
+    | tree :: rest ->
+      let trees, parses = explained rest in
+      (match Instance.collect_conditions tree with
+       | [] -> (trees, parses)
+       | conditions ->
+         ( tree :: trees,
+           { Merger.conditions; cover = Instance.tokens tree } :: parses ))
   in
-  let parses =
-    List.map
-      (fun tree ->
-         { Merger.conditions = Instance.collect_conditions tree;
-           cover = Instance.tokens tree })
-      trees
-  in
-  let all_tokens =
-    List.map (fun (t : Token.t) -> (t.id, Token.describe t)) tokens
-  in
-  (* Buttons and decorative images carry no query semantics; do not
-     report them missing when no parse claimed them. *)
-  let token_array = Array.of_list tokens in
-  let ignorable id =
-    match (token_array.(id)).Token.kind with
-    | Token.Button | Token.Image -> true
+  let trees, parses = explained result.Engine.maximal in
+  let covered = Bytes.make (List.length tokens) '\000' in
+  List.iter
+    (fun (p : Merger.parse) ->
+       List.iter (fun id -> Bytes.set covered id '\001') p.Merger.cover)
+    parses;
+  let reportable (t : Token.t) =
+    Bytes.get covered t.id = '\000'
+    &&
+    match t.kind with
+    | Token.Button | Token.Image -> false
     | Token.Text | Token.Textbox | Token.Selection | Token.Radio
     | Token.Checkbox ->
-      false
+      true
   in
-  let model = Merger.merge ~all_tokens ~ignorable parses in
-  (model, trees)
+  let all_tokens =
+    List.filter_map
+      (fun (t : Token.t) ->
+         if reportable t then Some (t.id, Token.describe t) else None)
+      tokens
+  in
+  (Merger.merge ~all_tokens parses, trees)
 
 let run ?trace (config : Config.t) input =
   let g = Budget.start config.budget in

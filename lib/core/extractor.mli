@@ -102,6 +102,15 @@ type extraction = {
   diagnostics : diagnostics;
 }
 
+val merge_trees :
+  Wqi_token.Token.t list ->
+  Wqi_parser.Engine.result ->
+  Wqi_model.Semantic_model.t * Wqi_grammar.Instance.t list
+(** [merge_trees tokens result] is [run]'s merge stage: the model merged
+    from the maximal trees of [result] that explain at least one
+    condition, and those trees.  Tokens covered by no such tree are
+    reported missing, except buttons and images. *)
+
 val run : ?trace:Wqi_obs.Trace.t -> Config.t -> input -> extraction
 (** [run config input] extracts under [config]'s budget.  Never raises:
     budget trips degrade the extraction ([outcome = Degraded _], with

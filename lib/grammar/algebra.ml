@@ -180,7 +180,7 @@ let rec c_pred env ~arity p : Instance.t array -> bool =
   | P_split_applies (name, s) ->
     let f = lookup "splitter" env.splitters name in
     let s = slot ~arity s in
-    fun arr -> f (tok_sval arr.(s)) <> None
+    fun arr -> Option.is_some (f (tok_sval arr.(s)))
   | P_ops_exists (name, s) ->
     let f = lookup "text class" env.text_classes name in
     let s = slot ~arity s in
@@ -336,9 +336,10 @@ let assoc_score ~is_attr_sym (i : Instance.t) =
   | _ -> (3000, 0)
 
 let assoc_wins ~is_attr_sym v1 v2 =
-  let s1 = assoc_score ~is_attr_sym v1
-  and s2 = assoc_score ~is_attr_sym v2 in
-  if s1 <> s2 then s1 < s2
+  let r1, g1 = assoc_score ~is_attr_sym v1
+  and r2, g2 = assoc_score ~is_attr_sym v2 in
+  if r1 <> r2 then r1 < r2
+  else if g1 <> g2 then g1 < g2
   else
     let c1 = cover_size v1 and c2 = cover_size v2 in
     if c1 <> c2 then c1 > c2
@@ -358,7 +359,7 @@ let compile_pref_kind ~resolve_symbol ~splitters kind :
     (None, Some (fun v1 v2 -> unit_distance v1 < unit_distance v2))
   | K_clean_attr names ->
     let fs = List.map (lookup "splitter" splitters) names in
-    let dirty label = List.exists (fun f -> f label <> None) fs in
+    let dirty label = List.exists (fun f -> Option.is_some (f label)) fs in
     ( None,
       Some
         (fun v1 v2 ->

@@ -20,7 +20,21 @@ let name = function Terminal n | Nonterminal n -> n
 
 let is_terminal = function Terminal _ -> true | Nonterminal _ -> false
 
-let of_token_kind kind = Terminal (Wqi_token.Token.kind_name kind)
+(* One shared symbol per token kind: every token instance names one. *)
+let of_token_kind =
+  let open Wqi_token.Token in
+  let sym k = Terminal (kind_name k) in
+  let text = sym Text and textbox = sym Textbox and selection = sym Selection
+  and radio = sym Radio and checkbox = sym Checkbox and button = sym Button
+  and image = sym Image in
+  function
+  | Text -> text
+  | Textbox -> textbox
+  | Selection -> selection
+  | Radio -> radio
+  | Checkbox -> checkbox
+  | Button -> button
+  | Image -> image
 
 let equal a b = compare a b = 0
 

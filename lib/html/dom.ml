@@ -11,8 +11,12 @@ let name = function
   | Element (n, _, _) -> n
   | Text _ | Comment _ -> ""
 
+let rec assoc key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc key rest
+
 let attr key = function
-  | Element (_, attrs, _) -> List.assoc_opt key attrs
+  | Element (_, attrs, _) -> assoc key attrs
   | Text _ | Comment _ -> None
 
 let attr_default key ~default node =

@@ -22,12 +22,14 @@ let named_entities =
     ("ouml", "\xc3\xb6"); ("oslash", "\xc3\xb8"); ("ugrave", "\xc3\xb9");
     ("uacute", "\xc3\xba"); ("ucirc", "\xc3\xbb"); ("uuml", "\xc3\xbc") ]
 
-let named_table : (string, string) Hashtbl.t =
-  let t = Hashtbl.create 97 in
-  List.iter (fun (k, v) -> Hashtbl.replace t k v) named_entities;
+module Str_tbl = Hashtbl.Make (String)
+
+let named_table : string Str_tbl.t =
+  let t = Str_tbl.create 97 in
+  List.iter (fun (k, v) -> Str_tbl.replace t k v) named_entities;
   t
 
-let lookup_named name = Hashtbl.find_opt named_table name
+let lookup_named name = Str_tbl.find_opt named_table name
 
 (* Encode a Unicode scalar value as UTF-8, substituting U+FFFD for invalid
    code points, as browsers do for numeric references. *)

@@ -104,10 +104,11 @@ let read_attributes st =
       in
       skip_spaces st;
       let value =
-        if peek st 0 = Some '=' then begin
+        match peek st 0 with
+        | Some '=' ->
           st.pos <- st.pos + 1;
           read_attr_value st
-        end else ""
+        | _ -> ""
       in
       attrs := (name, value) :: !attrs
     | Some _ ->

@@ -34,16 +34,18 @@ let ctx_spend_box ctx =
 (* Element classification                                              *)
 (* ------------------------------------------------------------------ *)
 
-let block_elements =
-  [ "address"; "article"; "aside"; "blockquote"; "center"; "dd"; "dir";
-    "div"; "dl"; "dt"; "fieldset"; "figure"; "footer"; "form"; "h1"; "h2";
-    "h3"; "h4"; "h5"; "h6"; "header"; "hr"; "li"; "main"; "menu"; "nav";
-    "ol"; "p"; "pre"; "section"; "table"; "ul"; "caption"; "legend";
-    "html"; "body" ]
+let is_block = function
+  | "address" | "article" | "aside" | "blockquote" | "center" | "dd" | "dir"
+  | "div" | "dl" | "dt" | "fieldset" | "figure" | "footer" | "form" | "h1"
+  | "h2" | "h3" | "h4" | "h5" | "h6" | "header" | "hr" | "li" | "main"
+  | "menu" | "nav" | "ol" | "p" | "pre" | "section" | "table" | "ul"
+  | "caption" | "legend" | "html" | "body" ->
+    true
+  | _ -> false
 
-let is_block name = List.mem name block_elements
-
-let skipped_elements = [ "head"; "script"; "style"; "title"; "#root" ]
+let is_skipped = function
+  | "head" | "script" | "style" | "title" | "#root" -> true
+  | _ -> false
 
 let is_widget node =
   match Dom.name node with
@@ -97,7 +99,7 @@ let rec atoms_of_inline node acc =
      | Some (w, h) -> Widget_atom (node, w, h) :: acc
      | None -> acc)
   | Dom.Element (name, _, children) ->
-    if List.mem name skipped_elements then acc
+    if is_skipped name then acc
     else List.fold_left (fun acc c -> atoms_of_inline c acc) acc children
 
 (* ------------------------------------------------------------------ *)
@@ -235,11 +237,6 @@ let flow ctx out atoms ~x ~y ~width ~align =
 (* Block layout                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let int_attr key ~default node =
-  match Dom.attr key node with
-  | Some v -> (try max 0 (int_of_string (String.trim v)) with Failure _ -> default)
-  | None -> default
-
 (* A child is "inline-level" for grouping purposes when it is not a block
    element; comments and skipped elements are transparent. *)
 let alignment_of node ~inherited : alignment =
@@ -269,7 +266,7 @@ let rec layout_children ctx out children ~x ~y ~width ~align =
        if ctx.live then
          match child with
          | Dom.Comment _ -> ()
-         | Dom.Element (name, _, _) when List.mem name skipped_elements -> ()
+         | Dom.Element (name, _, _) when is_skipped name -> ()
          | Dom.Element (name, _, _) when is_block name ->
            flush ();
            let margin = block_margin name in
@@ -306,25 +303,33 @@ and layout_table ctx out node ~x ~y ~width ~align =
          match Dom.name child with
          | "tr" -> [ child ]
          | "thead" | "tbody" | "tfoot" ->
-           List.filter (Dom.is_element ~named:"tr") (Dom.children child)
+           List.filter
+             (function Dom.Element ("tr", _, _) -> true | _ -> false)
+             (Dom.children child)
          | _ -> [])
       (Dom.children node)
   in
   if rows = [] then 0
   else begin
-    let padding = int_attr "cellpadding" ~default:2 node in
-    let spacing = int_attr "cellspacing" ~default:2 node in
-    let cells_of_row row =
-      List.filter
-        (fun c -> Dom.is_element ~named:"td" c || Dom.is_element ~named:"th" c)
-        (Dom.children row)
+    let padding = Style.int_attr "cellpadding" ~default:2 node in
+    let spacing = Style.int_attr "cellspacing" ~default:2 node in
+    (* Each row's cells with their column spans, read once. *)
+    let rows =
+      List.map
+        (fun row ->
+           List.filter_map
+             (fun c ->
+                match c with
+                | Dom.Element (("td" | "th"), _, _) ->
+                  Some (c, max 1 (Style.int_attr "colspan" ~default:1 c))
+                | _ -> None)
+             (Dom.children row))
+        rows
     in
-    let colspan cell = max 1 (int_attr "colspan" ~default:1 cell) in
     let ncols =
       List.fold_left
-        (fun acc row ->
-           max acc
-             (List.fold_left (fun n c -> n + colspan c) 0 (cells_of_row row)))
+        (fun acc cells ->
+           max acc (List.fold_left (fun n (_, span) -> n + span) 0 cells))
         1 rows
     in
     (* Measuring pass: natural width of each cell's content.  Scratch
@@ -344,23 +349,21 @@ and layout_table ctx out node ~x ~y ~width ~align =
     let col_widths = Array.make ncols (2 * padding) in
     (* First size single-span cells, then widen for multi-span ones. *)
     List.iter
-      (fun row ->
+      (fun cells ->
          let col = ref 0 in
          List.iter
-           (fun cell ->
-              let span = colspan cell in
+           (fun (cell, span) ->
               if span = 1 && !col < ncols && ctx.live then
                 col_widths.(!col) <-
                   max col_widths.(!col) (natural_width cell + (2 * padding));
               col := !col + span)
-           (cells_of_row row))
+           cells)
       rows;
     List.iter
-      (fun row ->
+      (fun cells ->
          let col = ref 0 in
          List.iter
-           (fun cell ->
-              let span = colspan cell in
+           (fun (cell, span) ->
               if span > 1 && !col + span <= ncols && ctx.live then begin
                 let needed = natural_width cell + (2 * padding) in
                 let current = ref ((span - 1) * spacing) in
@@ -375,7 +378,7 @@ and layout_table ctx out node ~x ~y ~width ~align =
                 end
               end;
               col := !col + span)
-           (cells_of_row row))
+           cells)
       rows;
     (* Placement pass. *)
     let col_x = Array.make ncols 0 in
@@ -386,12 +389,11 @@ and layout_table ctx out node ~x ~y ~width ~align =
     done;
     let y_cursor = ref (y + spacing) in
     List.iter
-      (fun row ->
+      (fun cells ->
          let row_height = ref Style.line_height in
          let col = ref 0 in
          List.iter
-           (fun cell ->
-              let span = colspan cell in
+           (fun (cell, span) ->
               if !col < ncols && ctx.live then begin
                 let cw = ref ((span - 1) * spacing) in
                 for j = !col to min (ncols - 1) (!col + span - 1) do
@@ -408,7 +410,7 @@ and layout_table ctx out node ~x ~y ~width ~align =
                 row_height := max !row_height (h + (2 * padding))
               end;
               col := !col + span)
-           (cells_of_row row);
+           cells;
          y_cursor := !y_cursor + !row_height + spacing)
       rows;
     ignore width;

@@ -29,6 +29,14 @@ type item =
 
 type laid = { item : item; box : Geometry.box }
 
+val is_block : string -> bool
+(** [is_block name] holds for the element names laid out as blocks
+    ([div], [p], [table], [form], [h1]..[h6], [ul]/[li], ...). *)
+
+val is_skipped : string -> bool
+(** [is_skipped name] holds for the elements that produce no atoms at
+    all ([head], [script], [style], [title]). *)
+
 val render :
   ?gauge:Wqi_budget.Budget.gauge ->
   ?trace:Wqi_obs.Trace.t ->

@@ -70,5 +70,6 @@ let pp ppf b = Fmt.pf ppf "(%d,%d)-(%d,%d)" b.x1 b.y1 b.x2 b.y2
 let equal a b = a.x1 = b.x1 && a.y1 = b.y1 && a.x2 = b.x2 && a.y2 = b.y2
 
 let compare_reading_order a b =
-  if same_row a b then compare (a.x1, a.y1) (b.x1, b.y1)
-  else compare (a.y1, a.x1) (b.y1, b.x1)
+  if same_row a b then
+    match Int.compare a.x1 b.x1 with 0 -> Int.compare a.y1 b.y1 | c -> c
+  else match Int.compare a.y1 b.y1 with 0 -> Int.compare a.x1 b.x1 | c -> c

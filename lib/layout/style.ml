@@ -10,9 +10,9 @@ let page_width = 800
    continuation bytes (0b10xxxxxx) do not. *)
 let utf8_cells s =
   let cells = ref 0 in
-  String.iter
-    (fun c -> if Char.code c land 0xC0 <> 0x80 then incr cells)
-    s;
+  for i = 0 to String.length s - 1 do
+    if Char.code (String.unsafe_get s i) land 0xC0 <> 0x80 then incr cells
+  done;
   !cells
 
 let text_width s = char_width * utf8_cells s

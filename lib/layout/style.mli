@@ -24,6 +24,11 @@ val text_width : string -> int
 (** [text_width s] is the rendered width of a text run.  Multi-byte UTF-8
     sequences count as a single character cell. *)
 
+val int_attr : string -> default:int -> Wqi_html.Dom.t -> int
+(** [int_attr key ~default node] is the attribute [key] of [node] read as
+    a non-negative integer (negative values clamp to 0), or [default]
+    when it is absent or not an integer. *)
+
 val widget_size : Wqi_html.Dom.t -> (int * int) option
 (** [widget_size node] is the intrinsic [(width, height)] of a form
     widget or image element, or [None] when [node] is not a widget (or is

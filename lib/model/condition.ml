@@ -53,13 +53,14 @@ let rec same_domain_shape a b =
   | (Text | Datetime | Range _ | Enumeration _), _ -> false
 
 let normalized_sorted_ops ops =
-  List.sort_uniq compare (List.map normalize_label ops)
+  List.sort_uniq String.compare (List.map normalize_label ops)
 
 let matches ~truth extracted =
   equal_attribute truth extracted
   && same_domain_shape truth.domain extracted.domain
-  && normalized_sorted_ops truth.operators
-     = normalized_sorted_ops extracted.operators
+  && List.equal String.equal
+       (normalized_sorted_ops truth.operators)
+       (normalized_sorted_ops extracted.operators)
 
 let rec pp_domain ppf = function
   | Text -> Fmt.string ppf "text"
@@ -73,4 +74,46 @@ let pp ppf c =
     Fmt.(list ~sep:(any ", ") string)
     c.operators pp_domain c.domain
 
-let to_string c = Fmt.str "%a" pp c
+(* [pp]'s output as [Fmt.str] renders it, written straight into a
+   buffer.  [pp] has no break hints, but [Fmt.quote] opens a box around
+   every enumeration value, and a [Format] formatter (margin 78, maximum
+   indentation 68) cannot open a box past column 68: it breaks the line
+   first.  That is the only newline [pp] can emit; the column counts the
+   bytes since the last one, whatever they contain. *)
+let to_string c =
+  let b = Buffer.create 64 in
+  let line = ref 0 in
+  let rec domain = function
+    | Text -> Buffer.add_string b "text"
+    | Datetime -> Buffer.add_string b "datetime"
+    | Range d ->
+      Buffer.add_string b "range(";
+      domain d;
+      Buffer.add_char b ')'
+    | Enumeration values ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i v ->
+           if i > 0 then Buffer.add_string b ", ";
+           if Buffer.length b - !line > 68 then begin
+             Buffer.add_char b '\n';
+             line := Buffer.length b
+           end;
+           Buffer.add_char b '"';
+           Buffer.add_string b v;
+           Buffer.add_char b '"')
+        values;
+      Buffer.add_char b '}'
+  in
+  Buffer.add_char b '[';
+  Buffer.add_string b c.attribute;
+  Buffer.add_string b "; {";
+  List.iteri
+    (fun i o ->
+       if i > 0 then Buffer.add_string b ", ";
+       Buffer.add_string b o)
+    c.operators;
+  Buffer.add_string b "}; ";
+  domain c.domain;
+  Buffer.add_char b ']';
+  Buffer.contents b

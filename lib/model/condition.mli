@@ -49,3 +49,5 @@ val same_domain_shape : domain -> domain -> bool
 val pp_domain : Format.formatter -> domain -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** [to_string c] is [Fmt.str "%a" pp c], byte for byte (line breaks
+    included), built without a formatter. *)

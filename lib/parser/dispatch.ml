@@ -49,12 +49,20 @@ type fprod = {
   delta_base : int;  (* offset of its delta flags (arity + 1) *)
 }
 
+(* A preference with its winner and loser symbols resolved to ids. *)
+type pref = { pref : G.Preference.t; wsid : int; lsid : int }
+
 type t = {
   syms : Symbol.t array;
   nsyms : int;
-  ids : (Symbol.t, int) Hashtbl.t;
+  ids : (Symbol.t, int) Hashtbl.t;  (* compile time only *)
+  start : int;  (* the start symbol's id *)
   prods : fprod array;
   by_head : int array array;  (* symbol id -> fprod ordinals, grammar order *)
+  prefs : pref array array;
+      (* symbol id -> the preferences whose winner or loser it is,
+         grammar order: what the schedule enforces once the symbol is
+         instantiated *)
   round_prune : G.Preference.t list array;
       (* symbol id -> the preferences the engine applies after every
          fix-point round of that symbol, grammar order; see
@@ -66,9 +74,22 @@ type t = {
 
 let sym_id t sym = Hashtbl.find t.ids sym
 
+let pref t (r : G.Preference.t) =
+  { pref = r; wsid = sym_id t r.winner; lsid = sym_id t r.loser }
+
 let all_token_kinds =
   [ Token.Text; Token.Textbox; Token.Selection; Token.Radio; Token.Checkbox;
     Token.Button; Token.Image ]
+
+(* Token kinds are interned first, in [all_token_kinds] order. *)
+let token_sid = function
+  | Token.Text -> 0
+  | Token.Textbox -> 1
+  | Token.Selection -> 2
+  | Token.Radio -> 3
+  | Token.Checkbox -> 4
+  | Token.Button -> 5
+  | Token.Image -> 6
 
 (* A hint [rel(a, b)] becomes checkable at the later of its two slots;
    the packed tag is normalized so the candidate (the later slot) is the
@@ -127,7 +148,9 @@ let build (g : G.Grammar.t) =
       rev := sym :: !rev;
       i
   in
-  List.iter (fun k -> ignore (intern (Symbol.of_token_kind k))) all_token_kinds;
+  List.iter
+    (fun k -> assert (intern (Symbol.of_token_kind k) = token_sid k))
+    all_token_kinds;
   List.iter (fun s -> ignore (intern s)) g.terminals;
   List.iter
     (fun (p : G.Production.t) ->
@@ -139,7 +162,7 @@ let build (g : G.Grammar.t) =
        ignore (intern r.winner);
        ignore (intern r.loser))
     g.preferences;
-  ignore (intern g.start);
+  let start = intern g.start in
   let syms = Array.of_list (List.rev !rev) in
   let nsyms = Array.length syms in
   let mark_base = ref 0 and delta_base = ref 0 in
@@ -202,11 +225,23 @@ let build (g : G.Grammar.t) =
          round_prune.(sid) <- r :: round_prune.(sid)
        end)
     (List.rev g.preferences);
+  let prefs = Array.make nsyms [] in
+  List.iter
+    (fun (r : G.Preference.t) ->
+       let wsid = Hashtbl.find ids r.winner in
+       let lsid = Hashtbl.find ids r.loser in
+       let p = { pref = r; wsid; lsid } in
+       prefs.(wsid) <- p :: prefs.(wsid);
+       if lsid <> wsid then prefs.(lsid) <- p :: prefs.(lsid))
+    g.preferences;
+  let prefs = Array.map (fun l -> Array.of_list (List.rev l)) prefs in
   { syms;
     nsyms;
     ids;
+    start;
     prods;
     by_head;
+    prefs;
     round_prune;
     marks_len = max 1 !mark_base;
     deltas_len = max 1 !delta_base;

@@ -55,7 +55,6 @@ exception Truncated
    paper's corpus); larger universes run the same algorithm on boxed
    covers. *)
 type state = {
-  grammar : G.Grammar.t;
   tables : Dispatch.t;
   arena : Arena.t;
   universe : int;
@@ -691,10 +690,10 @@ let try_kill st r v1 v2 =
    cover is a proper subset of the winner's, so its word screen is that
    test, and the bucketed path only needs the winners holding the
    loser's smallest token. *)
-let enforce st (r : G.Preference.t) =
+let enforce st (p : Dispatch.pref) =
+  let r = p.Dispatch.pref in
   let try_kill = try_kill st r in
-  let wsid = Dispatch.sym_id st.tables r.winner in
-  let lsid = Dispatch.sym_id st.tables r.loser in
+  let wsid = p.Dispatch.wsid and lsid = p.Dispatch.lsid in
   if st.small then begin
     let wcol = st.arena.Arena.cols.(wsid) in
     let lcol = st.arena.Arena.cols.(lsid) in
@@ -782,21 +781,22 @@ let enforce st (r : G.Preference.t) =
    something, naming the preference and its kill counts.  Silent
    enforcements (no conflict on the current front) are not recorded —
    a trace shows where trees died, not every scan. *)
-let traced_kills kill st (r : G.Preference.t) =
+let traced_kills kill st name x =
   match st.trace with
-  | None -> kill st r
+  | None -> kill st x
   | Some _ ->
     let t0 = Budget.now_s () in
     let pruned0 = st.pruned and rolled0 = st.rolled_back in
-    kill st r;
+    kill st x;
     if st.pruned > pruned0 || st.rolled_back > rolled0 then
-      Trace.span st.trace ~cat:"parser.enforce" r.G.Preference.name ~t0
+      Trace.span st.trace ~cat:"parser.enforce" name ~t0
         ~t1:(Budget.now_s ())
         ~args:
           [ ("pruned", Trace.Int (st.pruned - pruned0));
             ("rolled_back", Trace.Int (st.rolled_back - rolled0)) ]
 
-let enforce_traced st r = traced_kills enforce st r
+let enforce_traced st (p : Dispatch.pref) =
+  traced_kills enforce st p.Dispatch.pref.G.Preference.name p
 
 (* ------------------------------------------------------------------ *)
 (* Round-level pruning                                                 *)
@@ -997,10 +997,11 @@ let instantiate st sid =
   let rec prune_round_all = function
     | [] -> ()
     | r :: rest ->
-      traced_kills prune_round st r;
+      traced_kills prune_round st r.G.Preference.name r;
       prune_round_all rest
   in
-  if round_prefs <> [] then begin
+  let round_pruned = match round_prefs with [] -> false | _ :: _ -> true in
+  if round_pruned then begin
     let a = st.arena in
     a.Arena.rp_sid <- sid;
     a.Arena.rp_mark <- 0;
@@ -1013,7 +1014,7 @@ let instantiate st sid =
     for k = 0 to Array.length ords - 1 do
       if apply st prods.(Array.unsafe_get ords k) then progressed := true
     done;
-    if round_prefs <> [] && !progressed then begin
+    if round_pruned && !progressed then begin
       link_spines st.arena ~from:st.arena.Arena.rp_mark;
       prune_round_all round_prefs;
       refresh_live st.arena
@@ -1057,25 +1058,6 @@ let instantiate st sid =
   in
   loop 0
 
-(* Symbol -> preferences involving it, precomputed once per compile (the
-   schedule loop used to re-filter the full preference list for every
-   symbol). *)
-let preferences_by_symbol (g : G.Grammar.t) =
-  let tbl : (Symbol.t, G.Preference.t list) Hashtbl.t = Hashtbl.create 32 in
-  let push sym r =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt tbl sym) in
-    Hashtbl.replace tbl sym (r :: prev)
-  in
-  List.iter
-    (fun (r : G.Preference.t) ->
-       push r.winner r;
-       if not (Symbol.equal r.winner r.loser) then push r.loser r)
-    g.preferences;
-  (* Lists were built by consing over the grammar order; restore it. *)
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-  List.iter (fun k -> Hashtbl.replace tbl k (List.rev (Hashtbl.find tbl k))) keys;
-  tbl
-
 (* d-edge-only topological order, used when scheduling is disabled. *)
 let d_only_order (g : G.Grammar.t) =
   let bare =
@@ -1100,16 +1082,20 @@ let all_live_list st =
   done;
   List.sort (fun (a : Instance.t) b -> Int.compare a.id b.id) !out
 
-let reachable_ids roots =
-  let seen = Hashtbl.create 256 in
+(* The number of distinct instances reachable from [roots]; ids are
+   below [next_id]. *)
+let count_reachable ~next_id roots =
+  let seen = Bytes.make next_id '\000' in
+  let count = ref 0 in
   let rec go (i : Instance.t) =
-    if not (Hashtbl.mem seen i.id) then begin
-      Hashtbl.replace seen i.id ();
+    if Bytes.unsafe_get seen i.id = '\000' then begin
+      Bytes.unsafe_set seen i.id '\001';
+      incr count;
       List.iter go i.children
     end
   in
   List.iter go roots;
-  seen
+  !count
 
 (* When a governed parse trips, the instance store can hold far more
    tops than any intact interface produces (an exhaustive-mode blow-up
@@ -1146,8 +1132,8 @@ let maximal_trees ~tripped all_live =
   let sorted =
     List.sort
       (fun (na, ca, (a : Instance.t)) (nb, cb, (b : Instance.t)) ->
-         match compare nb na with
-         | 0 -> (match compare cb ca with 0 -> compare a.id b.id | c -> c)
+         match Int.compare nb na with
+         | 0 -> (match Int.compare cb ca with 0 -> Int.compare a.id b.id | c -> c)
          | c -> c)
       decorated
     |> List.map (fun (_, _, i) -> i)
@@ -1172,9 +1158,10 @@ type compiled = {
   grammar : G.Grammar.t;
   name : string;
   version : string;
-  schedule : G.Schedule.t;
-  d_order : Symbol.t list;
-  prefs_by_sym : (Symbol.t, G.Preference.t list) Hashtbl.t;
+  order : int array;
+  d_order : int array;
+  relaxed : Dispatch.pref array;
+  all_prefs : Dispatch.pref array;
   tables : Dispatch.t;
   pool : Arena.pool;
 }
@@ -1185,17 +1172,20 @@ type compiled = {
    it is a lock-free Atomic stack.) *)
 let compile ?(name = "anonymous") ?(version = "0") grammar =
   let schedule = G.Schedule.build grammar in
+  let tables = Dispatch.build grammar in
+  let sids order = Array.of_list (List.map (Dispatch.sym_id tables) order) in
+  let prefs l = Array.of_list (List.map (Dispatch.pref tables) l) in
   { grammar;
     name;
     version;
-    schedule;
-    d_order = d_only_order grammar;
-    prefs_by_sym = preferences_by_symbol grammar;
-    tables = Dispatch.build grammar;
+    order = sids schedule.G.Schedule.order;
+    d_order = sids (d_only_order grammar);
+    relaxed = prefs schedule.G.Schedule.relaxed;
+    all_prefs = prefs grammar.G.Grammar.preferences;
+    tables;
     pool = Arena.make_pool () }
 
 let parse_compiled ?gauge ?trace ?(options = default_options) compiled tokens =
-  let grammar = compiled.grammar in
   let tables = compiled.tables in
   let universe = List.length tokens in
   let hints_enabled = options.semi_naive && options.use_hints in
@@ -1217,8 +1207,7 @@ let parse_compiled ?gauge ?trace ?(options = default_options) compiled tokens =
         Spatial_index.note_killed col.Arena.index
   in
   let st =
-    { grammar;
-      tables;
+    { tables;
       arena;
       universe;
       small = universe <= Bitset.bits_per_word;
@@ -1255,7 +1244,7 @@ let parse_compiled ?gauge ?trace ?(options = default_options) compiled tokens =
         else begin
           let inst = Instance.of_token ~id:(fresh_id st) ~universe tok in
           st.created <- st.created + 1;
-          let sid = Dispatch.sym_id tables inst.Instance.sym in
+          let sid = Dispatch.token_sid tok.Token.kind in
           let bits = if st.small then 1 lsl tok.Token.id else 0 in
           add_instance st sid inst ~bits;
           go (inst :: acc) rest
@@ -1263,30 +1252,30 @@ let parse_compiled ?gauge ?trace ?(options = default_options) compiled tokens =
     in
     go [] tokens
   in
-  let schedule =
-    if options.use_scheduling then compiled.schedule
-    else
-      { G.Schedule.order = compiled.d_order; transformed = []; relaxed = [] }
+  let order =
+    if options.use_scheduling then compiled.order else compiled.d_order
   in
-  let prefs_for sym =
-    Option.value ~default:[] (Hashtbl.find_opt compiled.prefs_by_sym sym)
+  let enforce_all prefs =
+    for k = 0 to Array.length prefs - 1 do
+      enforce_traced st (Array.unsafe_get prefs k)
+    done
   in
   (try
      if not !truncated then begin
-       List.iter
-         (fun sym ->
-            Log.debug (fun m -> m "instantiating %a" Symbol.pp sym);
-            instantiate st (Dispatch.sym_id tables sym);
-            if options.use_preferences && options.use_scheduling then
-              List.iter (enforce_traced st) (prefs_for sym))
-         schedule.G.Schedule.order;
+       for k = 0 to Array.length order - 1 do
+         let sid = Array.unsafe_get order k in
+         Log.debug (fun m ->
+             m "instantiating %a" Symbol.pp tables.Dispatch.syms.(sid));
+         instantiate st sid;
+         if options.use_preferences && options.use_scheduling then
+           enforce_all tables.Dispatch.prefs.(sid)
+       done;
        (* Late pruning when scheduling is off; also a final sweep in the
           scheduled mode for relaxed preferences whose loser precedes its
           winner. *)
        if options.use_preferences then
-         if not options.use_scheduling then
-           List.iter (enforce_traced st) grammar.preferences
-         else List.iter (enforce_traced st) schedule.G.Schedule.relaxed
+         if not options.use_scheduling then enforce_all compiled.all_prefs
+         else enforce_all compiled.relaxed
      end
    with Truncated -> truncated := true);
   if !truncated then
@@ -1299,14 +1288,20 @@ let parse_compiled ?gauge ?trace ?(options = default_options) compiled tokens =
         maximal_trees ~tripped:(!truncated && gauge <> None) all_live)
   in
   let complete =
-    List.find_opt
-      (fun (i : Instance.t) ->
-         Symbol.equal i.sym grammar.start
-         && Bitset.cardinal i.cover = universe)
-      all_live
+    (* The oldest live start-symbol instance covering every token: its
+       column holds them in creation (= id) order. *)
+    let col = arena.Arena.cols.(tables.Dispatch.start) in
+    let rec first i =
+      if i >= col.Arena.len then None
+      else
+        let inst = Array.unsafe_get col.Arena.inst i in
+        if inst.Instance.alive && Bitset.cardinal inst.Instance.cover = universe
+        then Some inst
+        else first (i + 1)
+    in
+    first 0
   in
-  let in_maximal = reachable_ids maximal in
-  let temporary = st.created - Hashtbl.length in_maximal in
+  let temporary = st.created - count_reachable ~next_id:st.next_id maximal in
   { tokens;
     token_instances;
     all_live;

@@ -88,7 +88,8 @@ type result = {
 
 (** A grammar compiled for repeated parsing: the 2P schedule (d-edges +
     r-edges), the d-edge-only ablation order, and the per-symbol
-    preference table are derived once instead of on every parse, and the
+    preference table are derived once instead of on every parse, as
+    symbol ids of [tables], and the
     pack carries the grammar's identity ([name]/[version]) so callers
     that cache or route by grammar (the extraction service) have a
     stable key.  A pack is immutable after {!compile} and safe to share
@@ -97,13 +98,16 @@ type compiled = private {
   grammar : Wqi_grammar.Grammar.t;
   name : string;
   version : string;
-  schedule : Wqi_grammar.Schedule.t;
-  d_order : Wqi_grammar.Symbol.t list;
-      (** topological order over d-edges alone, for
+  order : int array;
+      (** the 2P schedule's instantiation order *)
+  d_order : int array;
+      (** topological order over d-edges alone, as symbol ids, for
           [use_scheduling = false] *)
-  prefs_by_sym :
-    (Wqi_grammar.Symbol.t, Wqi_grammar.Preference.t list) Hashtbl.t;
-      (** read-only after compile *)
+  relaxed : Dispatch.pref array;
+      (** the 2P schedule's relaxed preferences *)
+  all_prefs : Dispatch.pref array;
+      (** every preference in grammar order, for
+          [use_scheduling = false] *)
   tables : Dispatch.t;
       (** flat dispatch tables: interned symbol ids, per-production
           component/watermark layout, packed spatial checks *)

@@ -83,8 +83,6 @@ let create ?(clock = Wqi_budget.Budget.now_s) (config : config) =
 
 let fingerprint = Wqi_store.Key.fingerprint
 
-let normalize = Wqi_store.Key.normalize
-
 let key ~html ~spec = Wqi_store.Key.make ~html ~spec
 
 let shard_of t (k : key) =

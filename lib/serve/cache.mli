@@ -55,12 +55,8 @@ val fingerprint : string -> int64
 (** The raw FNV-1a/64 hash (offset basis 0xcbf29ce484222325, prime
     0x100000001b3); delegates to {!Wqi_store.Key.fingerprint}. *)
 
-val normalize : string -> string
-(** Line-ending and outer-whitespace normalization applied to HTML
-    before hashing; delegates to {!Wqi_store.Key.normalize}. *)
-
 val key : html:string -> spec:string -> key
-(** [key ~html ~spec] fingerprints [normalize html] together with
+(** [key ~html ~spec] fingerprints the normalized HTML together with
     [spec] — the caller's rendering of everything else that shapes the
     response (budget caps, source name, format version).  Delegates to
     {!Wqi_store.Key.make}. *)

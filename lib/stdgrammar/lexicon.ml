@@ -2,11 +2,12 @@ let lowercase = String.lowercase_ascii
 
 let contains_substring ~needle haystack =
   let n = String.length needle and h = String.length haystack in
-  let rec at i =
-    if i + n > h then false
-    else if String.sub haystack i n = needle then true
-    else at (i + 1)
+  let rec matches_at i k =
+    k >= n
+    || Char.equal (String.unsafe_get haystack (i + k)) (String.unsafe_get needle k)
+       && matches_at i (k + 1)
   in
+  let rec at i = i + n <= h && (matches_at i 0 || at (i + 1)) in
   n > 0 && at 0
 
 let operator_keywords =
@@ -24,11 +25,6 @@ let is_operator_phrase s =
 let all_operator_options options =
   List.length options >= 2 && List.for_all is_operator_phrase options
 
-let bound_markers =
-  [ "from"; "to"; "min"; "max"; "minimum"; "maximum"; "under"; "over";
-    "between"; "and"; "at least"; "at most"; "low"; "high"; "lowest";
-    "highest"; "up to" ]
-
 let strip_label_punctuation s =
   let s = String.trim (lowercase s) in
   let n = String.length s in
@@ -43,30 +39,57 @@ let strip_label_punctuation s =
   let f = first 0 and l = last n in
   if l > f then String.sub s f (l - f) else ""
 
-let is_bound_marker s = List.mem (strip_label_punctuation s) bound_markers
+let is_bound_marker s =
+  match strip_label_punctuation s with
+  | "from" | "to" | "min" | "max" | "minimum" | "maximum" | "under" | "over"
+  | "between" | "and" | "at least" | "at most" | "low" | "high" | "lowest"
+  | "highest" | "up to" ->
+    true
+  | _ -> false
 
-let unit_words =
-  [ "miles"; "mile"; "mi"; "km"; "kilometers"; "nights"; "night"; "days";
-    "day"; "years"; "yrs"; "dollars"; "usd"; "%"; "percent"; "sq ft";
-    "sqft"; "lbs"; "kg"; "people"; "guests"; "rooms"; "passengers" ]
+let is_unit_word s =
+  match strip_label_punctuation s with
+  | "miles" | "mile" | "mi" | "km" | "kilometers" | "nights" | "night"
+  | "days" | "day" | "years" | "yrs" | "dollars" | "usd" | "%" | "percent"
+  | "sq ft" | "sqft" | "lbs" | "kg" | "people" | "guests" | "rooms"
+  | "passengers" ->
+    true
+  | _ -> false
 
-let is_unit_word s = List.mem (strip_label_punctuation s) unit_words
+let is_month_name = function
+  | "january" | "february" | "march" | "april" | "may" | "june" | "july"
+  | "august" | "september" | "october" | "november" | "december" | "jan"
+  | "feb" | "mar" | "apr" | "jun" | "jul" | "aug" | "sep" | "sept" | "oct"
+  | "nov" | "dec" ->
+    true
+  | _ -> false
 
-let month_names =
-  [ "january"; "february"; "march"; "april"; "may"; "june"; "july";
-    "august"; "september"; "october"; "november"; "december";
-    "jan"; "feb"; "mar"; "apr"; "jun"; "jul"; "aug"; "sep"; "sept";
-    "oct"; "nov"; "dec" ]
+(* [String.trim]'s whitespace. *)
+let is_trim_space = function
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+  | _ -> false
 
-let is_int s = match int_of_string_opt (String.trim s) with
-  | Some _ -> true
-  | None -> false
+(* [int_of_string] rejects any string whose first byte is not a digit or
+   a sign, so such a string is answered here without raising. *)
+let as_int s =
+  let n = String.length s in
+  let rec first i =
+    if i < n && is_trim_space (String.unsafe_get s i) then first (i + 1) else i
+  in
+  let i = first 0 in
+  if
+    i < n
+    && (match String.unsafe_get s i with
+        | '0' .. '9' | '+' | '-' -> true
+        | _ -> false)
+  then int_of_string_opt (String.trim s)
+  else None
 
-let as_int s = int_of_string_opt (String.trim s)
+let is_int s = match as_int s with Some _ -> true | None -> false
 
 let is_month s =
   let s = lowercase (String.trim s) in
-  List.mem s month_names
+  is_month_name s
   || (match as_int s with Some m -> m >= 1 && m <= 12 | None -> false)
 
 let is_day s =
@@ -83,12 +106,15 @@ let is_hour_or_minute s =
     contains_substring ~needle:"am" s || contains_substring ~needle:"pm" s
     || contains_substring ~needle:":" s
 
-let header_placeholders = [ "mm"; "dd"; "yy"; "yyyy"; "month"; "day"; "year";
-                            "hour"; "minute"; "time"; "hh"; "mi"; "--" ]
+let is_header_placeholder = function
+  | "mm" | "dd" | "yy" | "yyyy" | "month" | "day" | "year" | "hour"
+  | "minute" | "time" | "hh" | "mi" | "--" ->
+    true
+  | _ -> false
 
 let significant_options options =
   List.filter
-    (fun o -> not (List.mem (lowercase (String.trim o)) header_placeholders))
+    (fun o -> not (is_header_placeholder (lowercase (String.trim o))))
     options
 
 let date_component options =
@@ -104,23 +130,30 @@ let date_component options =
     else if all is_hour_or_minute then `Time
     else `None
 
+let component_code = function
+  | `Month -> 0
+  | `Day -> 1
+  | `Year -> 2
+  | `Time -> 3
+  | `None -> 4
+
 let plausible_date_combo option_lists =
-  let components = List.map date_component option_lists in
-  match components with
+  let code options = component_code (date_component options) in
+  match option_lists with
   | [ a; b; c ] ->
     (* A composite date: month, day and year in any order.  Numeric month
-       lists (1..12) classify as `Day, hence the second form. *)
-    let sorted = List.sort compare [ a; b; c ] in
-    sorted = List.sort compare [ `Month; `Day; `Year ]
-    || sorted = List.sort compare [ `Day; `Day; `Year ]
+       lists (1..12) classify as `Day, hence the second form: sorted,
+       the codes read (Month|Day, Day, Year). *)
+    let a = code a and b = code b and c = code c in
+    let lo = min a (min b c) and hi = max a (max b c) in
+    let mid = a + b + c - lo - hi in
+    lo <= 1 && mid = 1 && hi = 2
   | [ a; b ] ->
     (* Month/day, month/year, day/year pairs or an hour/minute pair; two
        generic number lists (e.g. passenger counts) do not qualify. *)
-    (match List.sort compare [ a; b ] with
-     | [ `Day; `Month ] | [ `Month; `Year ] | [ `Day; `Year ]
-     | [ `Time; `Time ] ->
-       true
-     | _ -> false)
+    let a = code a and b = code b in
+    let lo = min a b and hi = max a b in
+    (lo < hi && hi <= 2) || (lo = 3 && hi = 3)
   | _ -> false
 
 let split_unit_prefix s =
@@ -152,10 +185,26 @@ let split_bound_suffix s =
     then Some (prefix, suffix)
     else None
 
+(* Maximal runs of non-space bytes: the non-empty pieces of
+   [String.split_on_char ' '] (on a trimmed string, as here, the words). *)
 let word_count s =
-  String.split_on_char ' ' (String.trim s)
-  |> List.filter (fun w -> w <> "")
-  |> List.length
+  let count = ref 0 in
+  for i = 0 to String.length s - 1 do
+    if
+      String.unsafe_get s i <> ' '
+      && (i = 0 || String.unsafe_get s (i - 1) = ' ')
+    then incr count
+  done;
+  !count
+
+let has_letter s =
+  let rec go i =
+    i < String.length s
+    && (match String.unsafe_get s i with
+        | 'a' .. 'z' | 'A' .. 'Z' -> true
+        | _ -> go (i + 1))
+  in
+  go 0
 
 let plausible_attribute s =
   let s = String.trim s in
@@ -163,7 +212,5 @@ let plausible_attribute s =
   n > 0 && n <= 60
   && word_count s <= 6
   && (not (is_int s))
-  && String.exists
-       (fun c -> (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))
-       s
+  && has_letter s
   && not (n > 1 && s.[n - 1] = '!')

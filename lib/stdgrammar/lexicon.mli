@@ -21,6 +21,14 @@ val is_bound_marker : string -> bool
 (** Range-bound wording: "from", "to", "min", "max", "between", "under",
     "over", "at least", "at most", "and". *)
 
+val as_int : string -> int option
+(** [as_int s] is [int_of_string_opt (String.trim s)]; a string whose
+    first non-blank byte is not a digit or a sign is rejected without
+    calling it. *)
+
+val is_int : string -> bool
+(** [is_int s] is [as_int s <> None]. *)
+
 val date_component : string list -> [ `Month | `Day | `Year | `Time | `None ]
 (** Classify a selection list's options as one date/time component. *)
 

@@ -7,48 +7,47 @@ type t = {
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* One FNV-1a step. *)
+let[@inline] step h c =
+  Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) fnv_prime
+
 let fold h s =
   let h = ref h in
-  String.iter
-    (fun c ->
-       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := step !h (String.unsafe_get s i)
+  done;
   !h
 
 let fingerprint s = fold fnv_offset s
 
 let is_space = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
 
-let normalize html =
-  let n = String.length html in
-  let lo = ref 0 in
-  while !lo < n && is_space html.[!lo] do incr lo done;
-  let hi = ref (n - 1) in
-  while !hi >= !lo && is_space html.[!hi] do decr hi done;
-  if !lo > !hi then ""
-  else begin
-    let b = Buffer.create (!hi - !lo + 1) in
-    let i = ref !lo in
-    while !i <= !hi do
-      (match html.[!i] with
-       | '\r' ->
-         Buffer.add_char b '\n';
-         if !i + 1 <= !hi && html.[!i + 1] = '\n' then incr i
-       | c -> Buffer.add_char b c);
-      incr i
-    done;
-    Buffer.contents b
-  end
-
+(* [make] hashes the normalised page (see key.mli) as it scans [html],
+   without building it: outer whitespace is skipped and each CR or CRLF
+   enters the FNV chain as one LF. *)
 let make ~html ~spec =
-  let normalized = normalize html in
   (* Chain the spec into the same hash stream, separated by a byte that
      cannot occur in either part's role, so ("ab","c") and ("a","bc")
      fingerprint differently. *)
-  let h = fold (fold fnv_offset spec) "\x00" in
-  { hash = fold h normalized;
-    len = String.length normalized;
-    spec }
+  let h = ref (step (fold fnv_offset spec) '\x00') in
+  let n = String.length html in
+  let lo = ref 0 in
+  while !lo < n && is_space (String.unsafe_get html !lo) do incr lo done;
+  let hi = ref (n - 1) in
+  while !hi >= !lo && is_space (String.unsafe_get html !hi) do decr hi done;
+  let hi = !hi in
+  let len = ref 0 in
+  let i = ref !lo in
+  while !i <= hi do
+    (match String.unsafe_get html !i with
+     | '\r' ->
+       h := step !h '\n';
+       if !i + 1 <= hi && String.unsafe_get html (!i + 1) = '\n' then incr i
+     | c -> h := step !h c);
+    incr len;
+    incr i
+  done;
+  { hash = !h; len = !len; spec }
 
 let spec ~grammar_name ~grammar_version ~name budget =
   Printf.sprintf "v%d|grammar=%s@%s|name=%s|budget=%s"

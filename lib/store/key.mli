@@ -16,7 +16,7 @@
     same identity in both. *)
 
 type t = {
-  hash : int64;  (** FNV-1a/64 over [spec ^ "\x00" ^ normalize html] *)
+  hash : int64;  (** FNV-1a/64 over [spec ^ "\x00" ^] the normalized HTML *)
   len : int;     (** normalized-HTML length: a cheap collision guard *)
   spec : string;
 }
@@ -28,16 +28,16 @@ val fingerprint : string -> int64
 val fold : int64 -> string -> int64
 (** [fold h s] continues an FNV-1a/64 chain over [s] from state [h]. *)
 
-val normalize : string -> string
-(** Line-ending and outer-whitespace normalization applied to HTML
-    before hashing: CRLF and lone CR become LF, leading and trailing
-    ASCII whitespace is dropped.  Deliberately conservative — it only
-    merges representations that tokenize identically. *)
-
 val make : html:string -> spec:string -> t
-(** [make ~html ~spec] fingerprints [normalize html] chained after
+(** [make ~html ~spec] fingerprints the normalized HTML chained after
     [spec] (separated by a byte that cannot occur in either part's
-    role, so [("ab","c")] and [("a","bc")] fingerprint differently). *)
+    role, so [("ab","c")] and [("a","bc")] fingerprint differently).
+
+    Normalization: leading and trailing ASCII whitespace (space, tab,
+    LF, CR, form feed) is dropped, and each CRLF or lone CR inside
+    becomes LF.  Deliberately conservative — it only merges
+    representations that tokenize identically.  It is applied while
+    hashing; the normalized page is never built. *)
 
 val spec :
   grammar_name:string ->

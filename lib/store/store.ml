@@ -35,9 +35,11 @@ module Crc32 = struct
   let digest s =
     let table = Lazy.force table in
     let c = ref 0xffffffff in
-    String.iter
-      (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-      s;
+    for i = 0 to String.length s - 1 do
+      c :=
+        Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+        lxor (!c lsr 8)
+    done;
     !c lxor 0xffffffff
 end
 

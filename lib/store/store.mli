@@ -128,3 +128,9 @@ val close : t -> unit
 (** Compact the manifest (write-temp-then-rename) and close every
     channel.  Idempotent; operations other than {!stats}, {!flush} and
     {!close} raise [Invalid_argument] on a closed store. *)
+
+module Crc32 : sig
+  val digest : string -> int
+  (** CRC-32 (IEEE 802.3) of a string, as stored with every value and
+      checked on every read. *)
+end

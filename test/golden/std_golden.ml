@@ -69,3 +69,24 @@ let render (grammar : G.Grammar.t) =
     (List.map production_line grammar.G.Grammar.productions
      @ List.map (source_line grammar) (corpus_sources ()))
   ^ "\n"
+
+(* Minor words the extractor's merge stage allocates per document:
+   [Extractor.merge_trees] on each corpus source's parse, with
+   [Gc.minor_words] read around the call.  The count is a function of
+   the code and the corpus alone, so a test can gate it. *)
+let merge_minor_words_per_doc () =
+  let sources = corpus_sources () in
+  let total =
+    List.fold_left
+      (fun acc (s : Generator.source) ->
+         let tokens = Wqi_token.Tokenize.of_html s.Generator.html in
+         let result =
+           Engine.parse_compiled Wqi_stdgrammar.Std.compiled tokens
+         in
+         let w0 = Gc.minor_words () in
+         ignore
+           (Sys.opaque_identity (Wqi_core.Extractor.merge_trees tokens result));
+         acc +. (Gc.minor_words () -. w0))
+      0. sources
+  in
+  total /. float_of_int (List.length sources)

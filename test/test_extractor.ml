@@ -200,6 +200,20 @@ let test_eval_custom_extractor () =
   Alcotest.(check (float 0.001)) "empty extractor precision" 1.
     report.avg_precision
 
+(* Deterministic allocation gate on the merge stage: minor words per
+   document of [Extractor.merge_trees] over the 60-source parse-golden
+   corpus.  The bound is the measured value plus the 2% counter
+   tolerance; the merge stage allocated 9,387.47 words per document
+   before it stopped formatting every token and condition through
+   [Format]. *)
+let merge_words_bound = 1673.62 *. 1.02
+
+let test_merge_minor_words () =
+  let words = Std_golden.merge_minor_words_per_doc () in
+  if words > merge_words_bound then
+    Alcotest.failf "merge stage: %.2f minor words per document > bound %.2f"
+      words merge_words_bound
+
 let suite =
   [ ("extract simple form", `Quick, test_extract_simple);
     ("diagnostics populated", `Quick, test_diagnostics_populated);
@@ -215,4 +229,5 @@ let suite =
     ("survey: domain reuse", `Quick, test_survey_domain_reuse);
     ("eval: run", `Quick, test_eval_run);
     ("eval: distributions", `Quick, test_eval_distributions);
-    ("eval: custom extractor", `Quick, test_eval_custom_extractor) ]
+    ("eval: custom extractor", `Quick, test_eval_custom_extractor);
+    ("merge stage minor words per document", `Quick, test_merge_minor_words) ]

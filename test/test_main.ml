@@ -26,4 +26,5 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("pool", Test_pool.suite);
       ("quality", Test_quality.suite);
-      ("properties", Test_props.suite) ]
+      ("properties", Test_props.suite);
+      ("monomorphic", Test_monomorphic.suite) ]
